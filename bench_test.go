@@ -115,16 +115,12 @@ func benchEngineReplay(b *testing.B, o ObsOptions) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				sources := make([]EngineSource, shards)
-				for s := range sources {
-					g, err := NewWorkload("alpha2", 1.0/16, 3)
-					if err != nil {
-						b.Fatal(err)
-					}
-					sources[s] = NewPartitionedWorkload(g, s, shards)
-				}
-				if err := eng.RunSources(sources, requests); err != nil {
+				g, err := NewWorkload("alpha2", 1.0/16, 3)
+				if err != nil {
 					b.Fatal(err)
+				}
+				if n := eng.RunSource(WorkloadSource(g), requests); n != requests {
+					b.Fatalf("replayed %d requests, want %d", n, requests)
 				}
 				if got := eng.Stats().Requests; got != requests {
 					b.Fatalf("replayed %d requests, want %d", got, requests)
@@ -141,12 +137,12 @@ func benchEngineReplay(b *testing.B, o ObsOptions) {
 }
 
 // BenchmarkEngineReplay times a 200k-request Zipf replay through the
-// sharded engine at 1/4/8 shards. Per-shard stream production and
-// simulation both parallelise, so on a multi-core host the sharded
-// runs show the engine's wall-clock scaling; the merged result is
-// identical across shard counts' worker schedules. Observability is
-// disabled — the comparison against BenchmarkEngineReplayObserved
-// measures the nil-observer fast path's cost.
+// sharded engine at 1/4/8 shards, generating the stream inside the
+// timer on the routing goroutine while the shards simulate on the
+// worker pool; the merged result is identical across worker
+// schedules. Observability is disabled — the comparison against
+// BenchmarkEngineReplayObserved measures the nil-observer fast path's
+// cost.
 func BenchmarkEngineReplay(b *testing.B) { benchEngineReplay(b, ObsOptions{}) }
 
 // BenchmarkEngineReplayObserved is BenchmarkEngineReplay with the full
@@ -166,9 +162,7 @@ func BenchmarkEngineReplayObserved(b *testing.B) {
 // a pre-encoded in-memory binary trace: the stream is generated and
 // packed once outside the timed loop, then each iteration maps it
 // zero-copy and replays it with Engine.RunSource. The delta against
-// BenchmarkEngineReplay is the batch pipeline's whole advantage —
-// no per-shard duplicate stream generation, no per-request closure
-// calls, batch-resolved metadata lookups.
+// BenchmarkEngineReplay is the cost of generating the stream.
 func BenchmarkEngineReplayBatched(b *testing.B) {
 	const requests = 200000
 	g, err := NewWorkload("alpha2", 1.0/16, 3)
@@ -236,16 +230,12 @@ func BenchmarkEngineReplayChannels(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				sources := make([]EngineSource, shards)
-				for s := range sources {
-					g, err := NewWorkload("alpha2", 1.0/16, 3)
-					if err != nil {
-						b.Fatal(err)
-					}
-					sources[s] = NewPartitionedWorkload(g, s, shards)
-				}
-				if err := eng.RunSources(sources, requests); err != nil {
+				g, err := NewWorkload("alpha2", 1.0/16, 3)
+				if err != nil {
 					b.Fatal(err)
+				}
+				if n := eng.RunSource(WorkloadSource(g), requests); n != requests {
+					b.Fatalf("replayed %d requests, want %d", n, requests)
 				}
 				if got := eng.Stats().Requests; got != requests {
 					b.Fatalf("replayed %d requests, want %d", got, requests)

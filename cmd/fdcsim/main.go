@@ -265,6 +265,10 @@ func main() {
 		usageErr("-banks %d: need at least one bank per channel", *banks)
 	case *wbufPages < 0:
 		usageErr("-wbuf %d is negative", *wbufPages)
+	case *traceCap < 0:
+		usageErr("-trace-cap %d is negative", *traceCap)
+	case *metricsIvl < 0:
+		usageErr("-metrics-interval %v is negative", *metricsIvl)
 	case *traceFile != "" && *traceBinary != "":
 		usageErr("-trace and -trace-binary are mutually exclusive")
 	case *traceFile == "" && *traceBinary == "" && !(*scale > 0):
@@ -449,40 +453,19 @@ func main() {
 		// mapping on every early exit.
 		onExit(m.Close)
 		runSource(trace.NewCountingSource(m, stats), *requests)
-	} else if eng, ok := sys.(*engine.Engine); ok {
-		// Sharded generated workloads use the per-shard source mode:
-		// each shard draws its slice of the global stream directly,
-		// overlapping stream production with other shards' simulation.
-		// A source/shard mismatch is reported like any other fatal
-		// configuration error.
-		sources := make([]engine.Source, eng.Shards())
-		for i := range sources {
-			g, err := workload.New(*workloadName, *scale, *seed)
-			die(err)
-			p := workload.NewPartitioned(g, i, eng.Shards())
-			// On resume, fast-forward past the prefix the checkpointed
-			// run already simulated: the generator is deterministic, so
-			// draining it re-synchronises the stream position exactly.
-			for {
-				if _, ok := p.NextUntil(prevConsumed); !ok {
-					break
-				}
-			}
-			sources[i] = p
-		}
-		die(eng.RunSources(sources, totalRequests))
-		// The sources consumed the stream shard-locally; replay a
-		// fresh generator to report the global trace footprint (the
-		// full campaign's on resume, so reports stay cumulative).
-		g, err := workload.New(*workloadName, *scale, *seed)
-		die(err)
-		for i := 0; i < totalRequests; i++ {
-			stats.Add(g.Next())
-		}
 	} else {
 		g, err := workload.New(*workloadName, *scale, *seed)
 		die(err)
-		runSource(trace.NewCountingSource(workload.AsSource(g), stats), *requests)
+		src := trace.NewCountingSource(workload.AsSource(g), stats)
+		// On resume, draw the prefix the checkpointed run already
+		// simulated through the counting source: the generator is
+		// deterministic, so this re-synchronises the stream position
+		// exactly and keeps the footprint report cumulative.
+		buf := make([]trace.Request, *batchSize)
+		for left := prevConsumed; left > 0; {
+			left -= src.Next(buf[:min(left, len(buf))])
+		}
+		runSource(src, *requests)
 	}
 	// Checkpoint before Drain: the unbroken run never drains mid-way,
 	// so a resumable snapshot must capture the pre-drain state for the

@@ -39,7 +39,6 @@ package flashdc
 import (
 	"io"
 
-	"flashdc/internal/array"
 	"flashdc/internal/core"
 	"flashdc/internal/engine"
 	"flashdc/internal/experiments"
@@ -126,21 +125,11 @@ type (
 	EngineConfig = engine.Config
 	// Engine replays request streams across shards and merges results.
 	Engine = engine.Engine
-	// EngineSource yields one shard's slice of a global stream.
-	EngineSource = engine.Source
-	// PartitionedWorkload filters a Workload down to one shard's pages.
-	PartitionedWorkload = workload.Partitioned
 )
 
 // NewEngine builds a sharded engine; Shards=1 reproduces the
 // monolithic simulation exactly.
 func NewEngine(cfg EngineConfig) (*Engine, error) { return engine.New(cfg) }
-
-// NewPartitionedWorkload wraps g as shard's deterministic slice of the
-// global request stream (see Engine.RunSources).
-func NewPartitionedWorkload(g Workload, shard, shards int) *PartitionedWorkload {
-	return workload.NewPartitioned(g, shard, shards)
-}
 
 // ShardOf maps a page to its owning shard under the canonical LBA
 // hash partition.
@@ -255,18 +244,6 @@ type (
 
 // NewFTL builds a log-structured FTL over a fresh NAND device.
 func NewFTL(cfg FTLConfig) *FTL { return ftl.New(cfg) }
-
-// Multi-chip deployment: pages striped across independent channels.
-type (
-	// ArrayConfig sizes a multi-chip Flash array.
-	ArrayConfig = array.Config
-	// FlashArray schedules operations across striped chips.
-	FlashArray = array.Array
-)
-
-// NewFlashArray builds a page-striped multi-chip array. Degenerate
-// configurations are reported as errors.
-func NewFlashArray(cfg ArrayConfig) (*FlashArray, error) { return array.New(cfg) }
 
 // Cell density modes, re-exported for configuration.
 const (

@@ -134,23 +134,6 @@ func TestPublicAPIFTL(t *testing.T) {
 	}
 }
 
-// TestPublicAPIArray exercises the multi-chip array re-exports.
-func TestPublicAPIArray(t *testing.T) {
-	a, err := NewFlashArray(ArrayConfig{Chips: 2, BlocksPerChip: 2, Mode: ModeMLC, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Chips() != 2 {
-		t.Fatal("chips wrong")
-	}
-	if _, err := a.ProgramAt(0, 9, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := a.ReadAt(0, 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPublicAPIPersistence round-trips cache metadata through the
 // re-exported entry points.
 func TestPublicAPIPersistence(t *testing.T) {

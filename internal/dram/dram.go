@@ -137,8 +137,6 @@ type Cache struct {
 	count    int
 	index    map[int64]int32
 	stats    Stats
-	// version changes on every index mutation; see Version in batch.go.
-	version uint64
 }
 
 type node struct {
@@ -289,7 +287,6 @@ func (c *Cache) Remove(lba int64) {
 		c.unlink(i)
 		c.free = append(c.free, i)
 		c.count--
-		c.version++
 	}
 }
 
@@ -334,7 +331,6 @@ func (c *Cache) insert(lba int64, dirty bool) (ev Evicted, evicted bool) {
 	c.pushFront(i)
 	c.index[lba] = i
 	c.count++
-	c.version++
 	return ev, evicted
 }
 
@@ -352,7 +348,6 @@ func (c *Cache) removeTail() Evicted {
 	c.unlink(i)
 	c.free = append(c.free, i)
 	c.count--
-	c.version++
 	return ev
 }
 

@@ -22,7 +22,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"flashdc/internal/core"
 	"flashdc/internal/dram"
@@ -45,14 +44,6 @@ type Config struct {
 	// are divided evenly across shards, and each shard's seed is
 	// derived from Hier.Seed and the shard index (ShardSeed).
 	Hier hier.Config
-	// BatchSize is how many requests a shard simulates per worker
-	// slot acquisition (and the router's enqueue granularity); 0
-	// means 64.
-	BatchSize int
-	// QueueDepth bounds how many routed batches may sit queued per
-	// shard before the RunBatch/RunSource router blocks for headroom;
-	// 0 means 8.
-	QueueDepth int
 	// Obs enables observability: every shard gets its own Observer
 	// built from these options (clocked by that shard's simulated
 	// clock), and Observe merges their output deterministically. The
@@ -68,9 +59,9 @@ type shard struct {
 }
 
 // Engine is a sharded simulation engine. Configure with New, drive
-// with RunBatch, RunSource or RunSources, then read the merged
-// accessors. The run methods block until the replay completes; the
-// merged accessors must not be called while a run is in flight.
+// with RunBatch or RunSource, then read the merged accessors. The run
+// methods block until the replay completes; the merged accessors must
+// not be called while a run is in flight.
 type Engine struct {
 	cfg    Config
 	shards []*shard
@@ -167,67 +158,6 @@ func (e *Engine) Workers() int {
 		return len(e.shards)
 	}
 	return e.cfg.Workers
-}
-
-func (e *Engine) batchSize() int {
-	if e.cfg.BatchSize <= 0 {
-		return 64
-	}
-	return e.cfg.BatchSize
-}
-
-func (e *Engine) queueDepth() int {
-	if e.cfg.QueueDepth <= 0 {
-		return 8
-	}
-	return e.cfg.QueueDepth
-}
-
-// Source yields one shard's slice of a global request stream; see
-// workload.Partitioned for the canonical implementation. NextUntil
-// returns the shard's next request among the first limit global
-// requests, reporting false once that budget is exhausted.
-type Source interface {
-	NextUntil(limit int) (trace.Request, bool)
-}
-
-// RunSources replays the first n global requests with one Source per
-// shard: shard i's goroutine draws from sources[i] and simulates in
-// batches, at most Workers shards simulating at any moment (stream
-// production overlaps with other shards' simulation). Exactly one
-// source per shard must be supplied; a mismatch is reported as an
-// error before any request is simulated.
-func (e *Engine) RunSources(sources []Source, n int) error {
-	if len(sources) != len(e.shards) {
-		return fmt.Errorf("engine: have %d sources for %d shards; RunSources needs exactly one source per shard", len(sources), len(e.shards))
-	}
-	sem := make(chan struct{}, e.Workers())
-	var wg sync.WaitGroup
-	for i, sh := range e.shards {
-		wg.Add(1)
-		go func(sh *shard, src Source) {
-			defer wg.Done()
-			batch := make([]trace.Request, 0, e.batchSize())
-			for {
-				batch = batch[:0]
-				for len(batch) < cap(batch) {
-					req, ok := src.NextUntil(n)
-					if !ok {
-						break
-					}
-					batch = append(batch, req)
-				}
-				if len(batch) == 0 {
-					return
-				}
-				sem <- struct{}{}
-				sh.runBatch(batch)
-				<-sem
-			}
-		}(sh, sources[i])
-	}
-	wg.Wait()
-	return nil
 }
 
 // Drain flushes every shard's dirty state down to its disk.

@@ -13,7 +13,6 @@ import (
 	"flashdc/internal/power"
 	"flashdc/internal/sim"
 	"flashdc/internal/tables"
-	"flashdc/internal/trace"
 	"flashdc/internal/workload"
 )
 
@@ -69,36 +68,14 @@ func newTestGen(t *testing.T) workload.Generator {
 	return g
 }
 
-// runSources replays the standard test stream via per-shard sources.
-func runSources(t *testing.T, shards, workers int) *Engine {
+// runEngine replays the standard test stream through the router.
+func runEngine(t *testing.T, shards, workers int) *Engine {
 	t.Helper()
 	e, err := New(Config{Shards: shards, Workers: workers, Hier: testConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sources := make([]Source, shards)
-	for i := range sources {
-		sources[i] = workload.NewPartitioned(newTestGen(t), i, shards)
-	}
-	if err := e.RunSources(sources, testRequests); err != nil {
-		t.Fatal(err)
-	}
-	e.Drain()
-	return e
-}
-
-// runGlobalSource replays the same stream as one unpartitioned global
-// source, exercising the router (hash-partitioning) path rather than
-// the pre-partitioned per-shard sources.
-func runGlobalSource(t *testing.T, shards, workers int) *Engine {
-	t.Helper()
-	e, err := New(Config{Shards: shards, Workers: workers, Hier: testConfig()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := newTestGen(t)
-	n := e.RunSource(trace.FuncSource(func() (trace.Request, bool) { return g.Next(), true }), testRequests)
-	if n != testRequests {
+	if n := e.RunSource(workload.AsSource(newTestGen(t)), testRequests); n != testRequests {
 		t.Fatalf("RunSource consumed %d requests, want %d", n, testRequests)
 	}
 	e.Drain()
@@ -117,7 +94,7 @@ func TestSingleShardMatchesMonolithic(t *testing.T) {
 	}
 	sys.Drain()
 
-	e := runSources(t, 1, 1)
+	e := runEngine(t, 1, 1)
 
 	if got, want := e.Stats(), sys.Stats(); got != want {
 		t.Fatalf("stats:\n got %+v\nwant %+v", got, want)
@@ -151,24 +128,11 @@ func TestSingleShardMatchesMonolithic(t *testing.T) {
 // interleaves them. CI runs this under -race at -cpu 1,4,8.
 func TestWorkerCountIndependence(t *testing.T) {
 	const shards = 4
-	base := snap(t, runSources(t, shards, 1))
+	base := snap(t, runEngine(t, shards, 1))
 	for _, workers := range []int{2, shards, 0} {
-		if got := snap(t, runSources(t, shards, workers)); !reflect.DeepEqual(got, base) {
+		if got := snap(t, runEngine(t, shards, workers)); !reflect.DeepEqual(got, base) {
 			t.Fatalf("workers=%d diverged from workers=1:\n got %+v\nwant %+v", workers, got, base)
 		}
-	}
-}
-
-// TestGlobalSourceMatchesRunSources: routing one global stream through
-// the router must land every shard the exact same request sequence as
-// per-shard filtered generators, so both replay modes merge to the
-// same result.
-func TestGlobalSourceMatchesRunSources(t *testing.T) {
-	const shards = 4
-	src := snap(t, runSources(t, shards, shards))
-	str := snap(t, runGlobalSource(t, shards, shards))
-	if !reflect.DeepEqual(src, str) {
-		t.Fatalf("modes diverged:\nsources %+v\nglobal  %+v", src, str)
 	}
 }
 
@@ -238,28 +202,12 @@ func TestErrPropagation(t *testing.T) {
 	}
 }
 
-// TestRunSourcesRejectsMismatch: the source count is part of the
-// engine's contract; a mismatch must be reported before any request
-// is simulated.
-func TestRunSourcesRejectsMismatch(t *testing.T) {
-	e, err := New(Config{Shards: 2, Hier: testConfig()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.RunSources(make([]Source, 1), 10); err == nil {
-		t.Fatal("RunSources with wrong source count did not error")
-	}
-	if got := e.Stats().Requests; got != 0 {
-		t.Fatalf("mismatched RunSources simulated %d requests", got)
-	}
-}
-
 // TestShardIndependence: every shard must own a disjoint LBA slice, so
 // shard-level device activity sums to the global total without double
 // counting (each shard has its own NAND device and FBST).
 func TestShardIndependence(t *testing.T) {
 	const shards = 4
-	e := runSources(t, shards, shards)
+	e := runEngine(t, shards, shards)
 	var reads int64
 	for i := 0; i < e.Shards(); i++ {
 		reads += e.Shard(i).Stats().DiskReads

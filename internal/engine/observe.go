@@ -3,20 +3,9 @@ package engine
 import (
 	"flashdc/internal/hier"
 	"flashdc/internal/obs"
-	"flashdc/internal/trace"
 )
 
 var _ hier.Simulator = (*Engine)(nil)
-
-// Run replays up to n requests from next across the shards.
-//
-// Deprecated: the pull-closure form survives one release as a shim
-// over the batch pipeline. Drive the engine through RunSource or
-// RunBatch (the hier.Simulator surface); trace.FuncSource adapts an
-// existing closure.
-func (e *Engine) Run(next func() (trace.Request, bool), n int) int {
-	return e.RunSource(trace.FuncSource(next), n)
-}
 
 // Observe finalises every shard's observer and merges their output in
 // shard index order; the report is therefore identical for a fixed

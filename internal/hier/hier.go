@@ -51,10 +51,6 @@ type Config struct {
 	// sequential read stream is detected (the OS page-cache readahead
 	// behaviour); 0 disables prefetching.
 	ReadAhead int
-	// FlashContention makes background Flash work (GC) delay
-	// colliding foreground reads, surfacing the Figure 1(b) overhead
-	// in request latency instead of only in power/time accounting.
-	FlashContention bool
 	// PDCPolicy selects the primary disk cache replacement policy
 	// (default strict LRU; real OS page caches approximate it with
 	// the clock algorithm).
@@ -148,11 +144,7 @@ type System struct {
 	// lastRead and streak detect sequential read runs for readahead.
 	lastRead int64
 	streak   int
-	// top aliases tiers[0] with its concrete type so the batched path
-	// can account PDC outcomes it resolved up front; res and runBuf are
-	// the lazily built RunBatch/RunSource scratch (see batch.go).
-	top    *dramTier
-	res    *resolver
+	// runBuf is the lazily built RunSource scratch.
 	runBuf []trace.Request
 }
 
@@ -202,7 +194,7 @@ func New(cfg Config) *System {
 			return s
 		}
 		s.flash = flash
-		if cfg.FlashContention || fc.Sched.Active() {
+		if fc.Sched.Active() {
 			// A non-default scheduler geometry (channels, banks, write
 			// buffer) implies contention modelling: channel/bank
 			// parallelism is meaningless without a device timeline.
@@ -289,7 +281,6 @@ func (s *System) compose() {
 		s.flashIdx = -1
 	}
 	s.diskIdx = len(s.tiers) - 1
-	s.top = top
 	top.lower = s.tiers[1]
 	s.tierNames = make([]tierMetricNames, len(s.tiers))
 	for i, t := range s.tiers {
@@ -355,10 +346,49 @@ func (s *System) Now() sim.Time { return s.clock.Now() }
 // still served correctly from the remaining tiers; callers that track
 // health should surface it, callers that only simulate may ignore it.
 func (s *System) Handle(req trace.Request) (sim.Duration, error) {
+	return s.serve(req), s.serviceErr()
+}
+
+// RunBatch services every request of batch in order and returns
+// len(batch). It is exactly a Handle loop; degraded-service conditions
+// surface through Err, which is sticky like Handle's error.
+func (s *System) RunBatch(batch []trace.Request) int {
+	for _, req := range batch {
+		s.serve(req)
+	}
+	return len(batch)
+}
+
+// RunSource drains up to n requests from src through RunBatch in
+// DefaultBatch-sized chunks, returning the number consumed (short only
+// when src ends early).
+func (s *System) RunSource(src trace.Source, n int) int {
+	if s.runBuf == nil {
+		s.runBuf = make([]trace.Request, trace.DefaultBatch)
+	}
+	consumed := 0
+	for consumed < n {
+		chunk := len(s.runBuf)
+		if rem := n - consumed; rem < chunk {
+			chunk = rem
+		}
+		k := src.Next(s.runBuf[:chunk])
+		if k == 0 {
+			break
+		}
+		consumed += s.RunBatch(s.runBuf[:k])
+	}
+	return consumed
+}
+
+// serve is the one request body behind Handle and RunBatch: the page
+// walk of section 5.1 for every page of req, then the clock advance
+// and the observer's snapshot check.
+func (s *System) serve(req trace.Request) sim.Duration {
 	s.stats.Requests++
 	// The page walk is inlined (rather than routed through
 	// trace.Request.Expand's callback) to keep the per-request path
-	// closure-free: Handle runs once per simulated request, and an
+	// closure-free: serve runs once per simulated request, and an
 	// escaping closure here was a measurable share of the replay
 	// engine's steady-state allocations.
 	n := req.Pages
@@ -383,7 +413,7 @@ func (s *System) Handle(req trace.Request) (sim.Duration, error) {
 	s.clock.Advance(total)
 	s.stats.TotalLatency += total
 	s.obs.MaybeSnapshot(s.clock.Now())
-	return total, s.serviceErr()
+	return total
 }
 
 // serviceErr reports the sticky degraded-service condition, if any.
@@ -402,7 +432,17 @@ func (s *System) serviceErr() error {
 // streams trigger readahead.
 func (s *System) readPage(lba int64) sim.Duration {
 	s.noteRead(lba)
-	return s.servePage(lba)
+	served, lat := s.lookup(lba)
+	switch {
+	case served == 0:
+		s.stats.PDCHits++
+		return lat
+	case served == s.flashIdx:
+		s.stats.FlashHits++
+	case served == s.diskIdx:
+		s.stats.DiskReads++
+	}
+	return lat + s.fillAbove(served, lba)
 }
 
 // noteRead advances the sequential-readahead detector and triggers the
@@ -419,34 +459,11 @@ func (s *System) noteRead(lba int64) {
 	}
 }
 
-// servePage is readPage after the readahead bookkeeping: the tier walk
-// plus the per-level hit accounting and upward fills.
-func (s *System) servePage(lba int64) sim.Duration {
-	served, lat := s.lookupFrom(0, lba)
-	switch {
-	case served == 0:
-		s.stats.PDCHits++
-		return lat
-	case served == s.flashIdx:
-		s.stats.FlashHits++
-	case served == s.diskIdx:
-		s.stats.DiskReads++
-	}
-	return lat + s.fillAbove(served, lba)
-}
-
 // lookup walks the chain until a tier serves lba. The bottom tier
 // always hits.
 func (s *System) lookup(lba int64) (served int, lat sim.Duration) {
-	return s.lookupFrom(0, lba)
-}
-
-// lookupFrom walks the chain from tier start until a tier serves lba —
-// the entry point for the batched path, which resolves the PDC outcome
-// up front and starts the walk below it.
-func (s *System) lookupFrom(start int, lba int64) (served int, lat sim.Duration) {
-	for i := start; i < len(s.tiers); i++ {
-		if hit, l := s.tiers[i].ReadPage(lba); hit {
+	for i, t := range s.tiers {
+		if hit, l := t.ReadPage(lba); hit {
 			return i, l
 		}
 	}

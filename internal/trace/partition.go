@@ -3,12 +3,9 @@ package trace
 import "flashdc/internal/sim"
 
 // This file defines the canonical hash-partitioning of the LBA space
-// used by the sharded simulation engine (internal/engine) and the
-// partition-aware workload generators (internal/workload). Both sides
-// must agree on the mapping — a request routed by the engine's stream
-// router and one filtered by a per-shard generator land on the same
-// shard — so the partition function lives here, next to the request
-// format itself.
+// used by the sharded simulation engine (internal/engine). It lives
+// next to the request format itself so every caller that routes or
+// inspects a sharded stream agrees on the mapping.
 
 // ShardOf maps a page to its owning shard under the canonical
 // hash-partitioning of the LBA space across shards partitions. The
@@ -50,42 +47,3 @@ func SplitRuns(req Request, shards int, fn func(shard int, run Request)) {
 	}
 	fn(runShard, Request{Op: req.Op, LBA: runStart, Pages: runLen})
 }
-
-// AppendByShard appends the pieces of req owned by shard to dst, as
-// maximal runs of consecutive pages in page order, and returns the
-// extended slice. Unlike SplitRuns it needs no callback:
-// the run walk is inlined rather than routed through a closure, so a
-// caller reusing dst across requests stays off the allocator entirely
-// on the simulation hot path.
-func AppendByShard(dst []Request, req Request, shard, shards int) []Request {
-	if shards <= 1 {
-		if shard == 0 {
-			dst = append(dst, req)
-		}
-		return dst
-	}
-	n := req.Pages
-	if n < 1 {
-		n = 1
-	}
-	runStart := req.LBA
-	runShard := ShardOf(req.LBA, shards)
-	runLen := 1
-	for i := 1; i < n; i++ {
-		lba := req.LBA + int64(i)
-		s := ShardOf(lba, shards)
-		if s == runShard {
-			runLen++
-			continue
-		}
-		if runShard == shard {
-			dst = append(dst, Request{Op: req.Op, LBA: runStart, Pages: runLen})
-		}
-		runStart, runShard, runLen = lba, s, 1
-	}
-	if runShard == shard {
-		dst = append(dst, Request{Op: req.Op, LBA: runStart, Pages: runLen})
-	}
-	return dst
-}
-

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -84,29 +83,5 @@ func TestSplitRunsPartition(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestAppendByShardUnion: the per-shard pieces of a request, collected
-// across all shards in page order, reassemble the SplitRuns stream.
-func TestAppendByShardUnion(t *testing.T) {
-	const shards = 5
-	req := Request{Op: OpWrite, LBA: 1000, Pages: 37}
-	var want []Request
-	SplitRuns(req, shards, func(_ int, run Request) { want = append(want, run) })
-	var got []Request
-	for _, w := range want {
-		pieces := AppendByShard(nil, req, ShardOf(w.LBA, shards), shards)
-		for _, p := range pieces {
-			if p.LBA == w.LBA {
-				got = append(got, p)
-			}
-		}
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("pieces:\n got %+v\nwant %+v", got, want)
-	}
-	if AppendByShard(nil, Request{LBA: 3, Pages: 1}, ShardOf(3, shards), shards)[0].Pages != 1 {
-		t.Fatal("single-page request lost")
 	}
 }
