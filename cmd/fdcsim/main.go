@@ -184,7 +184,6 @@ func main() {
 		workloadName = flag.String("workload", "dbt2", "Table 4 workload name (ignored with -trace)")
 		traceFile    = flag.String("trace", "", "replay a text trace file instead of generating")
 		traceBinary  = flag.String("trace-binary", "", "replay a binary trace file (tracegen -binary) via a zero-copy mapping")
-		batchSize    = flag.Int("batch", trace.DefaultBatch, "requests per replay batch")
 		scale        = flag.Float64("scale", 1.0/16, "footprint scale for generated workloads")
 		requests     = flag.Int("requests", 200000, "requests to simulate")
 		dramSize     = flag.String("dram", "16M", "DRAM primary disk cache size")
@@ -257,8 +256,6 @@ func main() {
 		usageErr("-disturb-reads %g is negative", *disturbReads)
 	case *refreshThresh < 0 || *refreshThresh > 1:
 		usageErr("-refresh-threshold %g outside (0,1] (0 means 1.0)", *refreshThresh)
-	case *batchSize < 1:
-		usageErr("-batch %d: need at least one request per batch", *batchSize)
 	case *channels < 1:
 		usageErr("-channels %d: need at least one channel", *channels)
 	case *banks < 1:
@@ -291,12 +288,13 @@ func main() {
 	case *scrubFeed && *scrubEvery <= 0:
 		usageErr("-scrub-feedback defers scrub migrations; enable the scrubber with -scrub first")
 	}
+	var faultPlan *fault.Plan
 	if *faultSpec != "" {
-		plan, err := parseFaults(*faultSpec)
+		faultPlan, err = parseFaults(*faultSpec)
 		if err != nil {
 			usageErr("-faults: %v", err)
 		}
-		if !plan.Active() {
+		if !faultPlan.Active() {
 			usageErr("-faults %q provides no fault rates; set at least one of read/program/erase/grown/bad", *faultSpec)
 		}
 	}
@@ -322,11 +320,7 @@ func main() {
 	fc.Policies = pset
 	fc.Sched = schedCfg
 	fc.ScrubFeedback = *scrubFeed
-	if *faultSpec != "" {
-		plan, err := parseFaults(*faultSpec)
-		die(err)
-		fc.Faults = plan
-	}
+	fc.Faults = faultPlan
 
 	obsOpts := obs.Options{
 		Metrics:         *metricsOut != "" || *httpAddr != "",
@@ -421,23 +415,11 @@ func main() {
 	}
 
 	stats := trace.NewStats()
-	// runSource drives sys at the -batch granularity. After the run the
-	// source's sticky stream error (a torn trace file, a bad binary
-	// record) is fatal like any other input error.
+	// runSource replays n requests of src. After the run the source's
+	// sticky stream error (a torn trace file, a bad binary record) is
+	// fatal like any other input error.
 	runSource := func(src trace.Source, n int) {
-		buf := make([]trace.Request, *batchSize)
-		for consumed := 0; consumed < n; {
-			chunk := len(buf)
-			if rem := n - consumed; rem < chunk {
-				chunk = rem
-			}
-			k := src.Next(buf[:chunk])
-			if k == 0 {
-				break
-			}
-			sys.RunBatch(buf[:k])
-			consumed += k
-		}
+		sys.RunSource(src, n)
 		die(trace.SourceErr(src))
 	}
 	if *traceFile != "" {
@@ -461,7 +443,7 @@ func main() {
 		// simulated through the counting source: the generator is
 		// deterministic, so this re-synchronises the stream position
 		// exactly and keeps the footprint report cumulative.
-		buf := make([]trace.Request, *batchSize)
+		buf := make([]trace.Request, trace.DefaultBatch)
 		for left := prevConsumed; left > 0; {
 			left -= src.Next(buf[:min(left, len(buf))])
 		}

@@ -197,36 +197,6 @@ func TestScrubberMigratesWornPages(t *testing.T) {
 	}
 }
 
-func TestScrubberRunsFromEventQueue(t *testing.T) {
-	c := smallCache(t, func(cfg *Config) {
-		cfg.WearAcceleration = 2000
-		cfg.ScrubPeriod = 10 * sim.Millisecond
-		cfg.ScrubBatch = 256
-	})
-	var clk sim.Clock
-	c.AttachClock(&clk)
-	rng := sim.NewRNG(29)
-	for i := 0; i < 60000 && !c.Dead(); i++ {
-		clk.Advance(50 * sim.Microsecond)
-		lba := int64(rng.Intn(1500))
-		if rng.Bool(0.4) {
-			c.Write(lba)
-		} else if !c.Read(lba).Hit {
-			c.Insert(lba)
-		}
-	}
-	st := c.Stats()
-	if st.ScrubScans == 0 {
-		t.Fatal("clock-scheduled scrubber never fired")
-	}
-	if st.ScrubMigrations == 0 {
-		t.Fatal("clock-scheduled scrubber migrated nothing")
-	}
-	if err := c.CheckIntegrity(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFactoryBadBlocksExcludedFromRegions(t *testing.T) {
 	c := faultyCache(t, fault.Plan{FactoryBadBlocks: []int{0, 5}}, nil)
 	st := c.Stats()

@@ -280,7 +280,7 @@ func (c *Cache) Clean(lba int64) {
 
 // Remove drops lba from the cache if resident, discarding its dirty
 // state without a write-back. The caller takes responsibility for the
-// data living elsewhere (tier invalidation).
+// data living elsewhere.
 func (c *Cache) Remove(lba int64) {
 	if i, ok := c.index[lba]; ok {
 		delete(c.index, lba)

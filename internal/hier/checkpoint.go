@@ -62,8 +62,8 @@ func (s *System) Checkpoint() (*SystemCheckpoint, error) {
 }
 
 // Restore overwrites a freshly assembled hierarchy (same Config) with
-// a checkpoint. The clock advances first so every component that
-// re-arms timed work during its restore sees resumed time.
+// a checkpoint. The clock advances first so every component restoring
+// clock-relative state sees resumed time.
 func (s *System) Restore(ck *SystemCheckpoint) error {
 	if s.bypassErr != nil {
 		return fmt.Errorf("hier: cannot restore onto a bypassed Flash tier: %w", s.flashLoadErr)
@@ -85,10 +85,10 @@ func (s *System) Restore(ck *SystemCheckpoint) error {
 			return err
 		}
 	}
-	for i, t := range s.tiers {
-		if r, ok := t.(interface{ restoreTierStats(TierStats) }); ok {
-			r.restoreTierStats(ck.Tiers[i])
-		}
+	for i := range s.tiers {
+		ts := ck.Tiers[i]
+		ts.Name = s.tiers[i].Name
+		s.tiers[i] = ts
 	}
 	s.stats = ck.Stats
 	if err := s.latencies.SetState(ck.Latencies); err != nil {

@@ -107,21 +107,43 @@ func (s *Stats) Merge(other Stats) {
 	s.TotalLatency += other.TotalLatency
 }
 
+// TierStats counts one level's activity in level-agnostic terms.
+type TierStats struct {
+	// Name identifies the level the counters describe ("dram",
+	// "flash", "disk").
+	Name string
+	// Reads counts lookups; Hits/Misses split them by outcome. The
+	// disk always hits.
+	Reads, Hits, Misses int64
+	// Writes counts pages stored at this level, including write-backs
+	// arriving from the level above.
+	Writes int64
+}
+
+// Merge adds other's counters into t, combining the same level of
+// independent shards into one total.
+func (t *TierStats) Merge(other TierStats) {
+	if t.Name == "" {
+		t.Name = other.Name
+	}
+	t.Reads += other.Reads
+	t.Hits += other.Hits
+	t.Misses += other.Misses
+	t.Writes += other.Writes
+}
+
 // System is an assembled hierarchy. Not safe for concurrent use.
 type System struct {
 	cfg   Config
 	clock sim.Clock
-	// tiers is the composed chain, fastest-first; the typed fields
-	// below alias its members for model-specific reporting (power,
-	// wear, integrity) that the generic interface cannot expose.
-	tiers []Tier
-	// flashIdx and diskIdx locate the named tiers in the chain for
-	// the per-level hit counters (-1 when absent).
-	flashIdx, diskIdx int
-	pdc               *dram.Cache
-	flash             *core.Cache // nil in the DRAM-only baseline
-	disk              *disk.Disk
-	stats             Stats
+	pdc   *dram.Cache
+	flash *core.Cache // nil in the DRAM-only baseline
+	disk  *disk.Disk
+	stats Stats
+	// tiers holds the per-level counters, fastest first: dram, flash
+	// (only when the Flash cache is live), disk. Index 1 is therefore
+	// always the level a dirty PDC eviction is written to.
+	tiers []TierStats
 	// flashLoadErr records why a supplied metadata image was rejected
 	// and the Flash cache bypassed; nil otherwise. bypassErr is the
 	// ErrFlashBypassed-wrapped form Handle reports.
@@ -135,7 +157,7 @@ type System struct {
 	// the per-request cost of an enabled observer is one interval
 	// check in Handle.
 	obs *obs.Observer
-	// tierNames holds the precomputed per-tier metric names and
+	// tierNames holds the precomputed per-level metric names and
 	// latProfile the reusable latency-rebucketing scratch, so collect
 	// builds no strings and no bucket slices per snapshot (Sample
 	// clones what it keeps).
@@ -190,7 +212,7 @@ func New(cfg Config) *System {
 			// holds every page; only hit rate is lost.
 			s.flashLoadErr = err
 			s.bypassErr = fmt.Errorf("%w: %v", ErrFlashBypassed, err)
-			s.compose()
+			s.initTiers()
 			return s
 		}
 		s.flash = flash
@@ -206,7 +228,7 @@ func New(cfg Config) *System {
 			s.flash.AttachTimeBase(&s.clock)
 		}
 	}
-	s.compose()
+	s.initTiers()
 	return s
 }
 
@@ -223,8 +245,7 @@ func (s *System) collect(smp *obs.Sample) {
 	smp.Counter("hier_prefetched_total", st.Prefetched)
 	smp.Counter("hier_latency_ns_total", int64(st.TotalLatency))
 	smp.Counter("disk_busy_ns_total", int64(s.disk.Stats().BusyTime))
-	for i, t := range s.tiers {
-		ts := t.Stats()
+	for i, ts := range s.tiers {
 		names := &s.tierNames[i]
 		smp.Counter(names.reads, ts.Reads)
 		smp.Counter(names.hits, ts.Hits)
@@ -268,23 +289,17 @@ func (s *System) latencyProfile() obs.HistogramSnapshot {
 	return *hs
 }
 
-// compose builds the tier chain from the assembled components and
-// links each cache tier to its write-back target below.
-func (s *System) compose() {
-	bottom := &diskTier{d: s.disk}
-	top := &dramTier{c: s.pdc}
+// initTiers names the per-level counters and their metric series
+// after the assembled chain.
+func (s *System) initTiers() {
+	names := []string{"dram", "disk"}
 	if s.flash != nil {
-		s.tiers = []Tier{top, &flashTier{c: s.flash}, bottom}
-		s.flashIdx = 1
-	} else {
-		s.tiers = []Tier{top, bottom}
-		s.flashIdx = -1
+		names = []string{"dram", "flash", "disk"}
 	}
-	s.diskIdx = len(s.tiers) - 1
-	top.lower = s.tiers[1]
-	s.tierNames = make([]tierMetricNames, len(s.tiers))
-	for i, t := range s.tiers {
-		name := t.Name()
+	s.tiers = make([]TierStats, len(names))
+	s.tierNames = make([]tierMetricNames, len(names))
+	for i, name := range names {
+		s.tiers[i].Name = name
 		s.tierNames[i] = tierMetricNames{
 			reads:  "tier_" + name + "_reads_total",
 			hits:   "tier_" + name + "_hits_total",
@@ -294,21 +309,10 @@ func (s *System) compose() {
 	}
 }
 
-// Tiers returns the composed chain, fastest tier first.
-func (s *System) Tiers() []Tier {
-	out := make([]Tier, len(s.tiers))
-	copy(out, s.tiers)
-	return out
-}
-
-// TierStats returns the per-tier activity counters, fastest tier
+// TierStats returns the per-level activity counters, fastest level
 // first.
 func (s *System) TierStats() []TierStats {
-	out := make([]TierStats, len(s.tiers))
-	for i, t := range s.tiers {
-		out[i] = t.Stats()
-	}
-	return out
+	return append([]TierStats(nil), s.tiers...)
 }
 
 // FlashLoadErr reports why the Flash cache was bypassed after a
@@ -427,22 +431,30 @@ func (s *System) serviceErr() error {
 	return nil
 }
 
-// readPage follows section 5.1 down the tier chain: PDC, then
-// FCHT/Flash, then disk, with fills on the way back up. Sequential
-// streams trigger readahead.
+// level is where the section 5.1 walk found a page.
+type level int
+
+const (
+	atPDC level = iota
+	atFlash
+	atDisk
+)
+
+// readPage follows section 5.1: PDC, then FCHT/Flash, then disk, with
+// fills on the way back up. Sequential streams trigger readahead.
 func (s *System) readPage(lba int64) sim.Duration {
 	s.noteRead(lba)
-	served, lat := s.lookup(lba)
-	switch {
-	case served == 0:
+	at, lat := s.lookup(lba)
+	switch at {
+	case atPDC:
 		s.stats.PDCHits++
 		return lat
-	case served == s.flashIdx:
+	case atFlash:
 		s.stats.FlashHits++
-	case served == s.diskIdx:
+	case atDisk:
 		s.stats.DiskReads++
 	}
-	return lat + s.fillAbove(served, lba)
+	return lat + s.fill(at, lba)
 }
 
 // noteRead advances the sequential-readahead detector and triggers the
@@ -459,57 +471,98 @@ func (s *System) noteRead(lba int64) {
 	}
 }
 
-// lookup walks the chain until a tier serves lba. The bottom tier
-// always hits.
-func (s *System) lookup(lba int64) (served int, lat sim.Duration) {
-	for i, t := range s.tiers {
-		if hit, l := t.ReadPage(lba); hit {
-			return i, l
-		}
+// lookup walks PDC, Flash (when live) and disk until one serves lba,
+// returning the level and its foreground latency. The disk always
+// hits.
+func (s *System) lookup(lba int64) (level, sim.Duration) {
+	t := &s.tiers[0]
+	t.Reads++
+	if hit, lat := s.pdc.Read(lba); hit {
+		t.Hits++
+		return atPDC, lat
 	}
-	panic("hier: bottom tier missed")
+	t.Misses++
+	if s.flash != nil {
+		t = &s.tiers[1]
+		t.Reads++
+		if out := s.flash.Read(lba); out.Hit {
+			t.Hits++
+			return atFlash, out.Latency
+		}
+		t.Misses++
+	}
+	t = &s.tiers[len(s.tiers)-1]
+	t.Reads++
+	t.Hits++
+	return atDisk, s.disk.Read()
 }
 
-// fillAbove pushes lba into every cache tier above the serving one,
-// bottom-up (the Flash fill precedes the PDC fill, as in section
-// 5.1), returning the foreground latency the fills add.
-func (s *System) fillAbove(served int, lba int64) sim.Duration {
-	var lat sim.Duration
-	for i := served - 1; i >= 0; i-- {
-		if f, ok := s.tiers[i].(filler); ok {
-			lat += f.Fill(lba)
-		}
+// fill pushes a page served below the PDC into the caches above its
+// level, bottom-up: a disk-served page is inserted into Flash before
+// the PDC fill, as in section 5.1. Only the PDC fill is foreground
+// latency; the Flash insert runs in the background.
+func (s *System) fill(at level, lba int64) sim.Duration {
+	if at == atDisk && s.flash != nil {
+		s.flash.Insert(lba)
+	}
+	lat, ev, evicted := s.pdc.Fill(lba)
+	if evicted {
+		s.writeBack(ev)
 	}
 	return lat
 }
 
 // prefetch pulls up to n consecutive pages into the PDC from the
 // lower levels, off the critical path (background time only; lower-
-// tier hits are not counted as foreground hits).
+// level hits are not counted as foreground hits).
 func (s *System) prefetch(start int64, n int) {
 	for lba := start; lba < start+int64(n); lba++ {
-		served, _ := s.lookup(lba)
-		if served == 0 {
+		at, _ := s.lookup(lba)
+		if at == atPDC {
 			continue
 		}
-		if served == s.diskIdx {
+		if at == atDisk {
 			s.stats.DiskReads++
 		}
-		s.fillAbove(served, lba)
+		s.fill(at, lba)
 		s.stats.Prefetched++
 	}
 }
 
-// writePage dirties the page in the top tier; write-back to the tiers
+// writePage dirties the page in the PDC; write-back to the levels
 // below happens on eviction (the paper's periodic flush behaviour).
 func (s *System) writePage(lba int64) sim.Duration {
-	return s.tiers[0].WritePage(lba)
+	s.tiers[0].Writes++
+	lat, ev, evicted := s.pdc.Write(lba)
+	if evicted {
+		s.writeBack(ev)
+	}
+	return lat
+}
+
+// writeBack pushes a page evicted from the PDC one level down when it
+// is dirty (background; not added to foreground latency).
+func (s *System) writeBack(ev dram.Evicted) {
+	if ev.Dirty {
+		s.writeBelowPDC(ev.LBA)
+	}
+}
+
+// writeBelowPDC stores a dirty PDC page in the Flash write region, or
+// on the disk in the DRAM-only baseline.
+func (s *System) writeBelowPDC(lba int64) {
+	s.tiers[1].Writes++
+	if s.flash != nil {
+		s.flash.Write(lba)
+	} else {
+		s.disk.Write()
+	}
 }
 
 // Drain flushes all dirty state down the chain (end of run).
 func (s *System) Drain() {
 	for _, lba := range s.pdc.DirtyPages() {
-		s.tiers[1].WritePage(lba)
+		s.writeBelowPDC(lba)
 		s.pdc.Clean(lba)
 	}
 	if s.flash != nil {
@@ -563,18 +616,13 @@ func (s *System) ResetStats() {
 	s.latencies = sim.Histogram{}
 	s.pdc.ResetStats()
 	s.disk.ResetStats()
-	// Rewind the clock before the Flash reset: ResetDeviceStats
-	// re-arms the clock-driven scrubber from the current reading, so
-	// the order decides whether the next scrub fires one period into
-	// the measurement phase (correct) or one period past the end of
-	// warmup (never, for a rewound clock).
+	// The clock rewinds to the epoch together with the Flash reset,
+	// which re-anchors the scheduler's channel/bank timelines there.
 	s.clock = sim.Clock{}
 	if s.flash != nil {
 		s.flash.ResetDeviceStats()
 	}
-	for _, t := range s.tiers {
-		if r, ok := t.(interface{ resetTierStats() }); ok {
-			r.resetTierStats()
-		}
+	for i := range s.tiers {
+		s.tiers[i] = TierStats{Name: s.tiers[i].Name}
 	}
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -9,64 +10,30 @@ import (
 	"flashdc/internal/sim"
 )
 
-func TestRegistryGetOrCreate(t *testing.T) {
-	r := NewRegistry()
-	c1 := r.Counter("reads_total")
-	c2 := r.Counter("reads_total")
-	if c1 != c2 {
-		t.Fatal("same name must return the same counter")
-	}
-	c1.Inc()
-	c1.Add(4)
-	if c2.Value() != 5 {
-		t.Fatalf("counter = %d, want 5", c2.Value())
-	}
-	g := r.Gauge("depth")
-	g.Set(2.5)
-	if r.Gauge("depth").Value() != 2.5 {
-		t.Fatal("gauge round trip broken")
-	}
-	h1 := r.Histogram("lat", []int64{10, 20})
-	h2 := r.Histogram("lat", []int64{999}) // first bounds win
-	if h1 != h2 {
-		t.Fatal("same name must return the same histogram")
-	}
-}
-
-func TestHistogramBucketEdges(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h", []int64{10, 100})
-	h.Observe(10)  // inclusive upper bound -> bucket 0
-	h.Observe(11)  // bucket 1
-	h.Observe(100) // bucket 1
-	h.Observe(101) // +Inf overflow
-	s := r.Snapshot(0, 0, false)
-	hs := s.Histograms["h"]
-	if want := []int64{1, 2, 1}; len(hs.Buckets) != 3 || hs.Buckets[0] != want[0] || hs.Buckets[1] != want[1] || hs.Buckets[2] != want[2] {
-		t.Fatalf("buckets = %v, want %v", hs.Buckets, want)
-	}
-	if hs.Count != 4 || hs.Sum != 10+11+100+101 {
-		t.Fatalf("count/sum = %d/%d", hs.Count, hs.Sum)
-	}
-}
-
 func TestRegistryCollectors(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("live_total").Add(3)
+	var r Registry
 	r.RegisterCollector(func(s *Sample) {
 		s.Counter("sampled_total", 7)
-		s.Counter("live_total", 2) // folds into the atomic counter's value
+		s.Counter("shared_total", 3)
 		s.Gauge("valid", 11)
+		s.Histogram("lat", HistogramSnapshot{Bounds: []int64{10}, Buckets: []int64{1, 0}, Count: 1, Sum: 4})
+	})
+	r.RegisterCollector(func(s *Sample) {
+		s.Counter("shared_total", 2) // folds into the first collector's series
+		s.Histogram("lat", HistogramSnapshot{Bounds: []int64{10}, Buckets: []int64{0, 2}, Count: 2, Sum: 40})
 	})
 	s := r.Snapshot(4, 99, true)
 	if s.Seq != 4 || s.T != 99 || !s.Final {
 		t.Fatalf("identity fields: %+v", s)
 	}
-	if s.Counters["sampled_total"] != 7 || s.Counters["live_total"] != 5 {
+	if s.Counters["sampled_total"] != 7 || s.Counters["shared_total"] != 5 {
 		t.Fatalf("counters: %v", s.Counters)
 	}
 	if s.Gauges["valid"] != 11 {
 		t.Fatalf("gauges: %v", s.Gauges)
+	}
+	if h := s.Histograms["lat"]; h.Count != 3 || h.Sum != 44 || h.Buckets[0] != 1 || h.Buckets[1] != 2 {
+		t.Fatalf("histogram: %+v", h)
 	}
 }
 
@@ -154,12 +121,13 @@ func TestObserverIntervalSnapshots(t *testing.T) {
 	o := New(Options{Metrics: true, MetricsInterval: 100, Trace: true})
 	o.SetClock(&clk)
 	o.SetShard(2)
-	c := o.Metrics.Counter("ops_total")
+	var ops int64
+	o.RegisterCollector(func(s *Sample) { s.Counter("ops_total", ops) })
 
-	c.Inc()
+	ops++
 	clk.Advance(sim.Duration(150)) // crosses boundary at t=100
 	o.MaybeSnapshot(clk.Now())
-	c.Inc()
+	ops++
 	clk.Advance(sim.Duration(200)) // crosses t=200 and t=300
 	o.MaybeSnapshot(clk.Now())
 	o.Event(Event{Kind: KindGCStart, Block: 1})
@@ -204,16 +172,9 @@ func TestNilObserverIsNoOp(t *testing.T) {
 	o.RegisterCollector(func(*Sample) {})
 	o.MaybeSnapshot(0)
 	o.Finish()
-	if o.Counter("x") != nil || o.Histogram("h", nil) != nil {
-		t.Fatal("nil observer must hand out nil instruments")
+	if o.Live() != nil || o.Snapshots() != nil {
+		t.Fatal("nil observer must read as empty")
 	}
-	var c *Counter
-	c.Inc()
-	c.Add(3)
-	var g *Gauge
-	g.Set(1)
-	var h *Histogram
-	h.Observe(5)
 	var tr *Tracer
 	if tr.Events() != nil || tr.Dropped() != 0 {
 		t.Fatal("nil tracer must read as empty")
@@ -227,7 +188,7 @@ func TestBuildReport(t *testing.T) {
 		o := New(Options{Metrics: true, Trace: true, TraceCapacity: 8})
 		o.SetClock(&clk)
 		o.SetShard(shard)
-		o.Counter("n_total").Add(int64(shard + 1))
+		o.RegisterCollector(func(s *Sample) { s.Counter("n_total", int64(shard+1)) })
 		o.Event(Event{Kind: KindShardMerge, Block: -1})
 		return o
 	}
@@ -294,37 +255,66 @@ func TestJSONLWritersDeterministic(t *testing.T) {
 	}
 }
 
-// TestRegistryConcurrentHammer drives every instrument type from 8
-// goroutines while snapshots are taken concurrently; run under -race
-// this is the registry's thread-safety proof.
-func TestRegistryConcurrentHammer(t *testing.T) {
-	r := NewRegistry()
-	const goroutines = 8
+// TestLiveConcurrentReaders serves the live endpoint and reads Live
+// from other goroutines while the simulation goroutine publishes
+// interval snapshots; run under -race this is the proof that
+// cross-goroutine readers only touch atomically published snapshots.
+func TestLiveConcurrentReaders(t *testing.T) {
+	var clk sim.Clock
+	o := New(Options{MetricsInterval: 10})
+	o.SetClock(&clk)
+	var ops int64
+	o.RegisterCollector(func(s *Sample) {
+		s.Counter("ops_total", ops)
+		s.Histogram("lat", HistogramSnapshot{Bounds: []int64{10}, Buckets: []int64{ops, 0}, Count: ops, Sum: ops})
+	})
+	h := Handler(func() []*Observer { return []*Observer{o} })
+
+	const readers = 4
 	const iters = 5000
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
+	for g := 0; g < readers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c := r.Counter("shared_total")
-			h := r.Histogram("lat", []int64{10, 100, 1000})
-			gauge := r.Gauge("depth")
-			for i := 0; i < iters; i++ {
-				c.Inc()
-				h.Observe(int64(i % 2000))
-				gauge.Set(float64(i))
-				if i%1024 == 0 {
-					_ = r.Snapshot(int64(i), int64(i), false)
+			var last int64
+			for {
+				select {
+				case <-stop:
+					return
+				default:
 				}
+				if g%2 == 0 {
+					h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/metrics", nil))
+					continue
+				}
+				s := o.Live()
+				if s == nil {
+					continue
+				}
+				// Published snapshots are cumulative and immutable.
+				v := s.Counters["ops_total"]
+				if v < last {
+					t.Errorf("live counter went backwards: %d after %d", v, last)
+					return
+				}
+				last = v
 			}
 		}(g)
 	}
-	wg.Wait()
-	s := r.Snapshot(0, 0, true)
-	if s.Counters["shared_total"] != goroutines*iters {
-		t.Fatalf("lost updates: %d, want %d", s.Counters["shared_total"], goroutines*iters)
+	for i := 0; i < iters; i++ {
+		ops++
+		clk.Advance(sim.Duration(3))
+		o.MaybeSnapshot(clk.Now())
 	}
-	if h := s.Histograms["lat"]; h.Count != goroutines*iters {
-		t.Fatalf("lost observations: %d", h.Count)
+	close(stop)
+	wg.Wait()
+	o.Finish()
+	if got := o.Live().Counters["ops_total"]; got != iters {
+		t.Fatalf("final live counter = %d, want %d", got, iters)
+	}
+	if n := len(o.Snapshots()); n != iters*3/10+1 {
+		t.Fatalf("%d snapshots, want %d intervals + final", n, iters*3/10)
 	}
 }

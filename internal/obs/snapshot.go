@@ -53,7 +53,7 @@ type HistogramSnapshot struct {
 }
 
 // Merge folds other into h bucket-wise. Mismatched bounds (which only
-// a bug can produce — instrument names determine bounds) merge by
+// a bug can produce — series names determine bounds) merge by
 // Count/Sum only, keeping h's buckets.
 func (h *HistogramSnapshot) Merge(other HistogramSnapshot) {
 	h.Count += other.Count

@@ -30,37 +30,6 @@ type ErrSource interface {
 	Err() error
 }
 
-// funcSource adapts a pull closure to Source.
-type funcSource struct {
-	next func() (Request, bool)
-	done bool
-}
-
-// FuncSource adapts the legacy pull-closure form to a Source: each
-// bulk fill draws buf's worth of requests from next, stopping at the
-// first false. It is the compatibility shim behind the deprecated
-// closure-based run methods.
-func FuncSource(next func() (Request, bool)) Source {
-	return &funcSource{next: next}
-}
-
-func (f *funcSource) Next(buf []Request) int {
-	if f.done {
-		return 0
-	}
-	n := 0
-	for n < len(buf) {
-		req, ok := f.next()
-		if !ok {
-			f.done = true
-			break
-		}
-		buf[n] = req
-		n++
-	}
-	return n
-}
-
 // SliceSource yields the requests of reqs in order, once.
 type SliceSource struct {
 	reqs []Request
@@ -154,30 +123,3 @@ func SourceErr(src Source) error {
 	}
 	return nil
 }
-
-// LimitSource yields at most n requests from src. It is how drivers
-// impose a request budget on an unbounded source (a looping workload
-// generator) without per-request closure calls.
-type LimitSource struct {
-	src Source
-	n   int
-}
-
-// NewLimitSource caps src at n requests.
-func NewLimitSource(src Source, n int) *LimitSource { return &LimitSource{src: src, n: n} }
-
-// Next implements Source.
-func (l *LimitSource) Next(buf []Request) int {
-	if l.n <= 0 {
-		return 0
-	}
-	if len(buf) > l.n {
-		buf = buf[:l.n]
-	}
-	k := l.src.Next(buf)
-	l.n -= k
-	return k
-}
-
-// Err implements ErrSource by delegating to the wrapped source.
-func (l *LimitSource) Err() error { return SourceErr(l.src) }

@@ -17,32 +17,6 @@ func reqN(n int) []Request {
 	return reqs
 }
 
-func TestFuncSource(t *testing.T) {
-	reqs := reqN(10)
-	i := 0
-	src := FuncSource(func() (Request, bool) {
-		if i >= len(reqs) {
-			return Request{}, false
-		}
-		r := reqs[i]
-		i++
-		return r, true
-	})
-	got := drain(t, src, 3)
-	if len(got) != 10 {
-		t.Fatalf("drained %d", len(got))
-	}
-	for j, r := range got {
-		if r != reqs[j] {
-			t.Fatalf("req %d = %+v, want %+v", j, r, reqs[j])
-		}
-	}
-	// Exhausted sources stay exhausted and never call next again.
-	if src.Next(make([]Request, 1)) != 0 {
-		t.Fatal("exhausted FuncSource yielded a request")
-	}
-}
-
 func TestSliceSource(t *testing.T) {
 	reqs := reqN(7)
 	src := NewSliceSource(reqs)
@@ -93,16 +67,6 @@ func TestCountingSource(t *testing.T) {
 	drain(t, src, 4)
 	if stats.Requests != 6 {
 		t.Fatalf("counted %d requests", stats.Requests)
-	}
-}
-
-func TestLimitSource(t *testing.T) {
-	src := NewLimitSource(NewSliceSource(reqN(10)), 4)
-	if got := drain(t, src, 3); len(got) != 4 {
-		t.Fatalf("limit 4 drained %d", len(got))
-	}
-	if NewLimitSource(NewSliceSource(reqN(3)), 0).Next(make([]Request, 1)) != 0 {
-		t.Fatal("limit 0 yielded a request")
 	}
 }
 
