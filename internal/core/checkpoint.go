@@ -195,7 +195,7 @@ func (c *Cache) Restore(ck *CacheCheckpoint) error {
 		return fmt.Errorf("core: restoring admission policy state: %w", err)
 	}
 
-	c.fcht = tables.NewFCHT()
+	c.fcht = tables.NewFCHT(len(c.meta))
 	for b := range c.meta {
 		if len(ck.Pages[b]) != nand.SlotsPerBlock {
 			return fmt.Errorf("core: checkpoint block %d has %d slots, want %d",
@@ -231,6 +231,9 @@ func (c *Cache) Restore(ck *CacheCheckpoint) error {
 	}
 	for i, r := range c.regions {
 		cr := &ck.Regions[i]
+		if cr.Open < -1 || cr.Open >= len(c.meta) {
+			return fmt.Errorf("core: checkpoint region %d opens block %d of %d", i, cr.Open, len(c.meta))
+		}
 		r.free = append(r.free[:0], cr.Free...)
 		r.open = cr.Open
 		r.blocks = cr.Blocks
@@ -254,6 +257,7 @@ func (c *Cache) Restore(ck *CacheCheckpoint) error {
 	c.scrubBlock = ck.ScrubBlock
 	c.scrubSlot = ck.ScrubSlot
 	c.scrubSub = ck.ScrubSub
+	c.recountRegions()
 
 	if err := c.CheckIntegrity(); err != nil {
 		return fmt.Errorf("core: checkpoint fails integrity audit (wrong configuration?): %w", err)

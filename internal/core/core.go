@@ -343,7 +343,8 @@ type Cache struct {
 	gcPol    gcPolicy
 	// seq is a logical access clock for frequency estimation.
 	seq uint64
-	// gcCheck amortises the read-region watermark scan.
+	// gcCheck counts host operations for the read-region watermark
+	// check's every-32nd-operation cadence.
 	gcCheck uint64
 	// totalValid is the number of valid pages across the cache.
 	totalValid int64
@@ -480,7 +481,7 @@ func New(cfg Config) *Cache {
 			Faults:           injector,
 			FactoryBadBlocks: factoryBad,
 		}),
-		fcht:         tables.NewFCHT(),
+		fcht:         tables.NewFCHT(blocks),
 		fpst:         mustTable(tables.NewFPST(blocks, cfg.BaseStrength, cfg.InitialMode, cfg.HotSaturation)),
 		fbst:         mustTable(tables.NewFBST(blocks, cfg.K1, cfg.K2)),
 		lat:          ecc.DefaultLatencyModel(),
@@ -570,16 +571,6 @@ func (c *Cache) Global() tables.FGST { return c.fgst }
 func (c *Cache) Contains(lba int64) bool {
 	_, ok := c.fcht.Get(lba)
 	return ok
-}
-
-// Invalidate drops lba from the cache if present, discarding the
-// cached copy without a write-back; the slot becomes garbage for GC
-// to reclaim. Callers invalidating a dirty write-region page take
-// responsibility for the data living elsewhere.
-func (c *Cache) Invalidate(lba int64) {
-	if addr, ok := c.fcht.Get(lba); ok {
-		c.invalidate(addr)
-	}
 }
 
 // ValidPages returns the number of live cached pages.

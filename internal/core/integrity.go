@@ -10,9 +10,11 @@ import (
 // must never be able to break: every FCHT mapping points at an
 // in-range, valid Flash page whose stored token matches the disk
 // address (no silent data corruption), no mapping lands in a retired
-// block, and the per-block and global valid-page counters agree with
-// the page tables. It charges no device operations and returns the
-// first violation found, or nil.
+// block, the per-block and global valid-page counters agree with the
+// page tables, and the incrementally kept page counts — each region's
+// watermark counters and the device's per-block and live totals —
+// agree with a recount. It charges no device operations and returns
+// the first violation found, or nil.
 func (c *Cache) CheckIntegrity() error {
 	var firstErr error
 	entries := int64(0)
@@ -68,7 +70,19 @@ func (c *Cache) CheckIntegrity() error {
 		return fmt.Errorf("core: integrity: %d valid pages in tables, %d counted globally",
 			valid, c.totalValid)
 	}
-	return c.checkStructure()
+	if err := c.checkStructure(); err != nil {
+		return err
+	}
+	if err := c.dev.CheckCounts(); err != nil {
+		return fmt.Errorf("core: integrity: %w", err)
+	}
+	for _, r := range c.regions {
+		if total, valid := c.walkPages(r); total != r.total || valid != r.valid {
+			return fmt.Errorf("core: integrity: region %d counts %d/%d valid/total pages, walk gives %d/%d",
+				r.id, r.valid, r.total, valid, total)
+		}
+	}
+	return nil
 }
 
 // checkStructure audits the allocator's bookkeeping: every block lives

@@ -306,7 +306,7 @@ func LoadMetadata(cfg Config, r io.Reader) (*Cache, error) {
 		r.blocks = 0
 	}
 	c.totalValid = 0
-	c.fcht = tables.NewFCHT()
+	c.fcht = tables.NewFCHT(len(c.meta))
 	c.stats = Stats{}
 
 	for b := range c.meta {
@@ -386,6 +386,7 @@ func LoadMetadata(cfg Config, r io.Reader) (*Cache, error) {
 	}
 	// Those device ops were reconstruction, not workload.
 	c.dev.ResetStats()
+	c.recountRegions()
 
 	c.fgst.Hits = img.Hits
 	c.fgst.Misses = img.Misses

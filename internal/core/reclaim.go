@@ -47,9 +47,7 @@ func (c *Cache) applyStagedAndErase(b int) sim.Duration {
 		slotAddr := nand.Addr{Block: b, Slot: s}
 		desired := c.fpst.At(slotAddr).StagedMode
 		if c.dev.Mode(slotAddr) != desired {
-			if err := c.dev.SetMode(b, s, desired); err != nil {
-				panic(err)
-			}
+			c.setSlotMode(b, s, desired)
 		}
 		for sub := 0; sub < 2; sub++ {
 			st := c.fpst.At(nand.Addr{Block: b, Slot: s, Sub: sub})
@@ -102,9 +100,7 @@ func (c *Cache) ensureReliable(b int, freq float64) bool {
 			// so both knobs are legal right now.
 			desired := st.StagedMode
 			if c.dev.Mode(slotAddr) != desired {
-				if err := c.dev.SetMode(b, s, desired); err != nil {
-					panic(err)
-				}
+				c.setSlotMode(b, s, desired)
 			}
 			for sub := 0; sub < 2; sub++ {
 				p := c.fpst.At(nand.Addr{Block: b, Slot: s, Sub: sub})
@@ -152,12 +148,11 @@ func (c *Cache) retire(b int) {
 		// Guard against a block tagged open while detached from the
 		// region (mid-migration): only clear the slot it occupies.
 		if r.open == b {
-			r.open = -1
+			c.clearOpen(r)
 		}
 	case blockActive:
 		if m.elem != nil {
-			r.lru.Remove(m.elem)
-			m.elem = nil
+			c.removeActive(r, b)
 		}
 	case blockFree:
 		for i, fb := range r.free {
@@ -188,8 +183,7 @@ func (c *Cache) reclaim(r *region) {
 	for e := r.lru.Back(); e != nil; e = e.Prev() {
 		b := e.Value.(int)
 		if c.meta[b].valid == 0 {
-			r.lru.Remove(e)
-			c.meta[b].elem = nil
+			c.removeActive(r, b)
 			c.stats.GCRuns++
 			c.stats.GCTime += c.applyStagedAndErase(b)
 			if c.meta[b].state == blockFree {
@@ -277,10 +271,9 @@ func (c *Cache) evictBlock(b int) {
 		c.invalidate(a)
 	}
 	if m.state == blockActive && m.elem != nil {
-		r.lru.Remove(m.elem)
-		m.elem = nil
+		c.removeActive(r, b)
 	} else if m.state == blockOpen {
-		r.open = -1
+		c.clearOpen(r)
 	}
 	c.stats.Evictions++
 	c.applyStagedAndErase(b)
@@ -376,19 +369,17 @@ func (c *Cache) maybeWearRotate(b int) bool {
 		d.Access = access
 		d.InsertedAt = c.seq
 		d.StagedStrength = maxStrength(d.StagedStrength, staged)
-		vm.valid++
-		c.totalValid++
+		c.addValid(b, 1)
 		c.fcht.Put(lba, dst)
 	}
 	// b now plays the newest block's role in the newest's region.
 	vm.state = blockActive
 	vm.region = nm.region
-	vm.elem = newestRegion.lru.PushFront(b)
+	c.pushActive(newestRegion, b)
 
 	// Erase the newest block and hand it to b's former region.
 	if nm.elem != nil {
-		newestRegion.lru.Remove(nm.elem)
-		nm.elem = nil
+		c.removeActive(newestRegion, newest)
 	}
 	c.applyStagedAndErase(newest)
 	if c.meta[newest].state == blockFree {
@@ -408,9 +399,7 @@ func (c *Cache) migrateAlloc(b int, mode wear.Mode) (nand.Addr, bool) {
 		slotAddr := nand.Addr{Block: b, Slot: m.cursorSlot}
 		if m.cursorSub == 0 {
 			if c.dev.Mode(slotAddr) != mode {
-				if err := c.dev.SetMode(b, m.cursorSlot, mode); err != nil {
-					panic(err)
-				}
+				c.setSlotMode(b, m.cursorSlot, mode)
 				for sub := 0; sub < 2; sub++ {
 					st := c.fpst.At(nand.Addr{Block: b, Slot: m.cursorSlot, Sub: sub})
 					st.Mode = mode
@@ -472,8 +461,7 @@ func (c *Cache) backgroundGC(r *region, force bool) sim.Duration {
 	var t sim.Duration
 	dirty := r.id == c.writeRegionIndex() && len(c.regions) == 2
 	pages := c.validPagesOf(best)
-	r.lru.Remove(bestElem)
-	m.elem = nil
+	c.removeActive(r, best)
 	m.state = blockActive // detached; erased below
 	for _, a := range pages {
 		src := c.fpst.At(a)
@@ -539,15 +527,14 @@ func (c *Cache) backgroundGC(r *region, force bool) sim.Duration {
 // maybeGC runs the background collectors per section 5.1: the read
 // region compacts when its valid fraction drops below the watermark;
 // the write region compacts when free space runs low. The watermark
-// scan is O(blocks), so it is amortised over a small window of host
-// operations.
+// is checked every 32 host operations; the check itself is O(1), but
+// when GC fires is simulated behaviour, so the cadence stays.
 func (c *Cache) maybeGC() {
 	if len(c.regions) == 2 {
 		c.gcCheck++
 		if c.gcCheck&31 == 0 {
 			rr := c.regions[readRegion]
-			total, valid := c.regionPages(rr)
-			if total > 0 && float64(valid)/float64(total) < c.cfg.Watermark {
+			if rr.total > 0 && float64(rr.valid)/float64(rr.total) < c.cfg.Watermark {
 				c.backgroundGC(rr, true)
 			}
 		}

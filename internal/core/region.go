@@ -60,6 +60,11 @@ type region struct {
 	lru *list.List
 	// blocks is the current population (free + open + active).
 	blocks int
+	// total and valid are the page counts of the open block and the
+	// LRU members, the inputs of the section 5.1 watermark check.
+	// openBlock/clearOpen/pushActive/removeActive, addValid and
+	// setSlotMode keep them in step; walkPages is their definition.
+	total, valid int
 }
 
 func newRegion(id int) *region {
@@ -103,9 +108,10 @@ func (c *Cache) freePagesIn(r *region) int {
 // yield (its slots may be SLC, so use the SLC floor).
 func (c *Cache) pagesPerFreshBlock() int { return nand.SlotsPerBlock }
 
-// regionPages returns total and valid page counts over the region's
-// populated blocks.
-func (c *Cache) regionPages(r *region) (total, valid int) {
+// walkPages recounts the region's total and valid page counts over its
+// open block and LRU members, the definition its incremental counters
+// must match.
+func (c *Cache) walkPages(r *region) (total, valid int) {
 	for e := r.lru.Front(); e != nil; e = e.Next() {
 		b := e.Value.(int)
 		total += c.dev.PagesPerBlock(b)
@@ -116,6 +122,76 @@ func (c *Cache) regionPages(r *region) (total, valid int) {
 		valid += c.meta[r.open].valid
 	}
 	return total, valid
+}
+
+// recountRegions rederives every region's counters by walking, after a
+// restore has rebuilt the region structures wholesale.
+func (c *Cache) recountRegions() {
+	for _, r := range c.regions {
+		r.total, r.valid = c.walkPages(r)
+	}
+}
+
+// countedIn returns the region whose counters include block b — b is
+// that region's open block or on its LRU — or nil.
+func (c *Cache) countedIn(b int) *region {
+	m := &c.meta[b]
+	r := c.regions[m.region]
+	if (m.state == blockActive && m.elem != nil) || (m.state == blockOpen && r.open == b) {
+		return r
+	}
+	return nil
+}
+
+// count adds (sign 1) or removes (sign -1) block b's pages to or from
+// region r's counters.
+func (c *Cache) count(r *region, b, sign int) {
+	r.total += sign * c.dev.PagesPerBlock(b)
+	r.valid += sign * c.meta[b].valid
+}
+
+// clearOpen detaches the region's open block, if any.
+func (c *Cache) clearOpen(r *region) {
+	if r.open >= 0 {
+		c.count(r, r.open, -1)
+		r.open = -1
+	}
+}
+
+// pushActive puts block b at the front of the region's LRU.
+func (c *Cache) pushActive(r *region, b int) {
+	c.meta[b].elem = r.lru.PushFront(b)
+	c.count(r, b, 1)
+}
+
+// removeActive takes block b off the region's LRU.
+func (c *Cache) removeActive(r *region, b int) {
+	m := &c.meta[b]
+	r.lru.Remove(m.elem)
+	m.elem = nil
+	c.count(r, b, -1)
+}
+
+// addValid moves block b's live page count by d, together with the
+// cache-wide count and, while b is counted, its region's.
+func (c *Cache) addValid(b, d int) {
+	c.meta[b].valid += d
+	c.totalValid += int64(d)
+	if r := c.countedIn(b); r != nil {
+		r.valid += d
+	}
+}
+
+// setSlotMode switches slot s of block b to mode m — legal only while
+// the slot is erased — keeping a counting region's page total in step.
+func (c *Cache) setSlotMode(b, s int, m wear.Mode) {
+	before := c.dev.PagesPerBlock(b)
+	if err := c.dev.SetMode(b, s, m); err != nil {
+		panic(err)
+	}
+	if r := c.countedIn(b); r != nil {
+		r.total += c.dev.PagesPerBlock(b) - before
+	}
 }
 
 // tryAlloc returns the next free page of the open block matching the
@@ -133,9 +209,7 @@ func (c *Cache) tryAlloc(r *region, mode wear.Mode) (nand.Addr, bool) {
 			// Untouched slot: set the desired density before first
 			// program (legal only while erased).
 			if c.dev.Mode(slotAddr) != mode {
-				if err := c.dev.SetMode(b, m.cursorSlot, mode); err != nil {
-					panic(err)
-				}
+				c.setSlotMode(b, m.cursorSlot, mode)
 				for sub := 0; sub < 2; sub++ {
 					st := c.fpst.At(nand.Addr{Block: b, Slot: m.cursorSlot, Sub: sub})
 					st.Mode = mode
@@ -176,10 +250,10 @@ func (c *Cache) closeOpen(r *region) {
 	if r.open < 0 {
 		return
 	}
-	m := &c.meta[r.open]
-	m.state = blockActive
-	m.elem = r.lru.PushFront(r.open)
-	r.open = -1
+	b := r.open
+	c.meta[b].state = blockActive
+	c.clearOpen(r)
+	c.pushActive(r, b)
 }
 
 // openBlock promotes a free block to open.
@@ -189,6 +263,7 @@ func (c *Cache) openBlock(r *region, b int) {
 	m.region = r.id
 	m.elem = nil
 	r.open = b
+	c.count(r, b, 1)
 }
 
 // allocProgram obtains a free page of the requested density in the
@@ -227,8 +302,7 @@ func (c *Cache) allocProgram(r *region, mode wear.Mode, lba int64) (nand.Addr, s
 			st.LBA = lba
 			st.Access = 0
 			st.InsertedAt = c.seq
-			c.meta[addr.Block].valid++
-			c.totalValid++
+			c.addValid(addr.Block, 1)
 			return addr, lat
 		}
 		if c.dead {
@@ -261,14 +335,12 @@ func (c *Cache) invalidate(addr nand.Addr) {
 	if !st.Valid {
 		return
 	}
-	m := &c.meta[addr.Block]
-	m.accessSum += uint64(st.Access)
+	c.meta[addr.Block].accessSum += uint64(st.Access)
 	c.fcht.Delete(st.LBA)
 	st.Valid = false
 	st.LBA = tables.InvalidLBA
 	st.Access = 0
-	m.valid--
-	c.totalValid--
+	c.addValid(addr.Block, -1)
 }
 
 // validPagesOf lists the valid page addresses of block b.

@@ -1,6 +1,10 @@
 package dram
 
-import "fmt"
+import (
+	"fmt"
+
+	"flashdc/internal/lbaindex"
+)
 
 // Checkpoint/Restore expose the PDC's full replacement state for the
 // campaign checkpoint: unlike Range (which reports presence and dirty
@@ -48,13 +52,13 @@ func (c *Cache) Restore(pages []PageState, stats Stats) error {
 	c.free = c.free[:0]
 	c.head, c.tail = none, none
 	c.count = 0
-	c.index = make(map[int64]int32, c.capacity)
+	c.index = lbaindex.New(c.capacity)
 	// Insert LRU-first so the rebuilt recency list matches the
 	// checkpointed order exactly.
 	for i := len(pages) - 1; i >= 0; i-- {
 		p := pages[i]
 		c.insert(p.LBA, p.Dirty)
-		c.nodes[c.index[p.LBA]].referenced = p.Referenced
+		c.nodes[c.head].referenced = p.Referenced
 	}
 	c.stats = stats
 	return nil

@@ -105,5 +105,6 @@ func (d *Device) Restore(ck DeviceCheckpoint) error {
 		}
 	}
 	d.stats = ck.Stats
+	d.recount()
 	return nil
 }

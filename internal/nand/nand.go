@@ -169,7 +169,11 @@ type slotState struct {
 }
 
 type blockState struct {
-	slots      []slotState
+	slots []slotState
+	// pages is the addressable page count of the block's current slot
+	// modes (one per SLC slot, two per MLC slot), kept in step with
+	// every mode change so PagesPerBlock is a field read.
+	pages      int
 	eraseCount int
 	// reads counts page reads served by this block since its last
 	// erase — the read-disturb stress counter, cleared on erase.
@@ -214,7 +218,11 @@ type Device struct {
 	cfg    Config
 	model  *wear.Model
 	blocks []blockState
-	stats  Stats
+	// livePages is the summed page count of the non-retired blocks,
+	// kept in step with mode changes and retirements so CapacityBytes
+	// is a field read.
+	livePages int64
+	stats     Stats
 	// clock, when attached, timestamps programs so the retention
 	// process can measure dwell. A clockless device never sees
 	// retention errors (dwell stays zero).
@@ -258,7 +266,38 @@ func New(cfg Config) *Device {
 			d.blocks[b].retired = true
 		}
 	}
+	d.recount()
 	return d
+}
+
+// slotPages returns how many pages a slot exposes in mode m.
+func slotPages(m wear.Mode) int {
+	if m == wear.MLC {
+		return 2
+	}
+	return 1
+}
+
+// countPages sums the block's page count from its slot modes.
+func (blk *blockState) countPages() int {
+	n := 0
+	for i := range blk.slots {
+		n += slotPages(blk.slots[i].mode)
+	}
+	return n
+}
+
+// recount rederives every block's page count and the live page total
+// from the slot modes and retirement flags.
+func (d *Device) recount() {
+	d.livePages = 0
+	for b := range d.blocks {
+		blk := &d.blocks[b]
+		blk.pages = blk.countPages()
+		if !blk.retired {
+			d.livePages += int64(blk.pages)
+		}
+	}
 }
 
 // AttachClock gives the device a simulated time base for retention
@@ -340,7 +379,13 @@ func (d *Device) Retired(b int) bool { return d.blocks[b].retired }
 
 // Retire permanently removes block b from service (paper section 5.2:
 // a block at both the ECC limit and SLC mode is "removed permanently").
-func (d *Device) Retire(b int) { d.blocks[b].retired = true }
+func (d *Device) Retire(b int) {
+	blk := &d.blocks[b]
+	if !blk.retired {
+		blk.retired = true
+		d.livePages -= int64(blk.pages)
+	}
+}
 
 // ReadResult reports the outcome of a page read before error
 // correction.
@@ -493,14 +538,19 @@ func (d *Device) Programmed(a Addr) bool {
 // (neither sub-page programmed): the paper applies new page settings
 // "on the next erase and write access".
 func (d *Device) SetMode(block, slot int, m wear.Mode) error {
-	_, sl, err := d.slot(Addr{Block: block, Slot: slot})
+	blk, sl, err := d.slot(Addr{Block: block, Slot: slot})
 	if err != nil {
 		return err
 	}
 	if sl.programmed[0] || sl.programmed[1] {
 		return fmt.Errorf("%w: b%d/s%d", ErrModeWhileInUse, block, slot)
 	}
+	delta := slotPages(m) - slotPages(sl.mode)
 	sl.mode = m
+	blk.pages += delta
+	if !blk.retired {
+		d.livePages += int64(delta)
+	}
 	return nil
 }
 
@@ -515,11 +565,11 @@ func (d *Device) Erase(b int) (sim.Duration, error) {
 	if blk.retired {
 		return 0, fmt.Errorf("%w: block %d", ErrRetired, b)
 	}
+	// One MLC slot makes the block MLC-dominant: only then does it
+	// expose more pages than slots.
 	mode := wear.SLC
-	for i := range blk.slots {
-		if blk.slots[i].mode == wear.MLC {
-			mode = wear.MLC
-		}
+	if blk.pages > SlotsPerBlock {
+		mode = wear.MLC
 	}
 	lat := d.cfg.Timing.Erase(mode)
 	d.stats.Erases++
@@ -555,30 +605,32 @@ func (d *Device) Erase(b int) (sim.Duration, error) {
 // PagesPerBlock returns how many addressable pages block b currently
 // exposes given its per-slot modes (between 64 all-SLC and 128
 // all-MLC).
-func (d *Device) PagesPerBlock(b int) int {
-	n := 0
-	for i := range d.blocks[b].slots {
-		if d.blocks[b].slots[i].mode == wear.MLC {
-			n += 2
-		} else {
-			n++
-		}
-	}
-	return n
-}
+func (d *Device) PagesPerBlock(b int) int { return d.blocks[b].pages }
 
 // CapacityBytes returns the device's current addressable payload
 // capacity across non-retired blocks, which shrinks as slots move to
 // SLC mode or blocks retire.
-func (d *Device) CapacityBytes() int64 {
-	var pages int64
+func (d *Device) CapacityBytes() int64 { return d.livePages * PageSize }
+
+// CheckCounts audits the cached page counts against a recount from
+// the slot modes: every block's PagesPerBlock and the live total
+// behind CapacityBytes. It returns the first disagreement, or nil.
+func (d *Device) CheckCounts() error {
+	var live int64
 	for b := range d.blocks {
-		if d.blocks[b].retired {
-			continue
+		blk := &d.blocks[b]
+		n := blk.countPages()
+		if n != blk.pages {
+			return fmt.Errorf("nand: block %d caches %d pages, slot modes give %d", b, blk.pages, n)
 		}
-		pages += int64(d.PagesPerBlock(b))
+		if !blk.retired {
+			live += int64(n)
+		}
 	}
-	return pages * PageSize
+	if live != d.livePages {
+		return fmt.Errorf("nand: device caches %d live pages, blocks give %d", d.livePages, live)
+	}
+	return nil
 }
 
 // ResetStats zeroes the operation counters (e.g. after cache warmup);

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 )
 
@@ -21,12 +22,61 @@ type Histogram struct {
 // 10^(1/12)-1 ~ 21%... kept fine enough with 12 sub-buckets (~9%).
 const bucketsPerDecade = 24
 
-// bucketOf maps a duration to its bucket index.
-func bucketOf(d Duration) int {
+// logBucket is the definition of a duration's bucket index. It is
+// evaluated only at init, to build the tables bucketOf reads.
+func logBucket(d Duration) int {
 	if d <= 0 {
 		return 0
 	}
 	return 1 + int(math.Log10(float64(d))*bucketsPerDecade)
+}
+
+var (
+	// topBucket is the bucket of the largest duration.
+	topBucket = logBucket(math.MaxInt64)
+	// bucketStart[i] is the smallest duration logBucket maps to
+	// bucket i or above (i >= 1).
+	bucketStart = make([]Duration, topBucket+1)
+	// bucketAtLen[n] is the bucket of the smallest duration n bits
+	// long, 2^(n-1).
+	bucketAtLen [64]int
+)
+
+func init() {
+	for i := 1; i <= topBucket; i++ {
+		lo, hi := Duration(1), Duration(math.MaxInt64)
+		for lo < hi {
+			mid := lo + (hi-lo)/2
+			if logBucket(mid) >= i {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		bucketStart[i] = lo
+	}
+	for n := 1; n < len(bucketAtLen); n++ {
+		bucketAtLen[n] = bucketScan(1, Duration(1)<<(n-1))
+	}
+}
+
+// bucketScan returns d's bucket, stepping up from bucket i, which must
+// not lie above it.
+func bucketScan(i int, d Duration) int {
+	for i < topBucket && d >= bucketStart[i+1] {
+		i++
+	}
+	return i
+}
+
+// bucketOf maps a duration to its bucket index, exactly as logBucket
+// does: the bit length finds the bucket of the enclosing power of two,
+// and at most a handful of boundary compares finish the job.
+func bucketOf(d Duration) int {
+	if d <= 0 {
+		return 0
+	}
+	return bucketScan(bucketAtLen[bits.Len64(uint64(d))], d)
 }
 
 // bucketFloor returns the smallest duration mapping to bucket i.

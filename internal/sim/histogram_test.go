@@ -176,3 +176,40 @@ func TestHistogramMonotoneQuantiles(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBucketOfMatchesLogDefinition checks the table-driven bucketOf
+// against the floating-point definition at every bucket boundary and
+// one either side, at every power of two and one either side, and
+// across a deterministic sample of the whole positive range.
+func TestBucketOfMatchesLogDefinition(t *testing.T) {
+	check := func(d Duration) {
+		t.Helper()
+		if got, want := bucketOf(d), logBucket(d); got != want {
+			t.Fatalf("bucketOf(%d) = %d, logBucket says %d", d, got, want)
+		}
+	}
+	for _, d := range []Duration{math.MinInt64, -1, 0, 1, 2, math.MaxInt64 - 1, math.MaxInt64} {
+		check(d)
+	}
+	for i := 1; i <= topBucket; i++ {
+		b := bucketStart[i]
+		if b > 1 && logBucket(b-1) >= i {
+			t.Fatalf("bucket %d starts at %d, but %d already maps to %d", i, b, b-1, logBucket(b-1))
+		}
+		for _, d := range []Duration{b - 1, b, b + 1} {
+			if d > 0 {
+				check(d)
+			}
+		}
+	}
+	for n := 0; n < 63; n++ {
+		p := Duration(1) << n
+		check(p - 1)
+		check(p)
+		check(p + 1)
+	}
+	rng := NewRNG(1)
+	for i := 0; i < 1_000_000; i++ {
+		check(Duration(rng.Uint64() >> (1 + rng.Intn(63))))
+	}
+}

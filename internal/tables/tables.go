@@ -13,8 +13,10 @@ package tables
 
 import (
 	"fmt"
+	"math"
 
 	"flashdc/internal/ecc"
+	"flashdc/internal/lbaindex"
 	"flashdc/internal/nand"
 	"flashdc/internal/sim"
 	"flashdc/internal/wear"
@@ -24,39 +26,63 @@ import (
 const InvalidLBA = int64(-1)
 
 // FCHT is the FlashCache hash table: a fully associative map from disk
-// page number to the Flash page caching it (section 3.1). Go's map is
-// the hash the paper describes.
+// page number to the Flash page caching it (section 3.1). It is a flat
+// open-addressed table holding each Flash address packed into an int32
+// (see pack), presized to the device's page count so the request path
+// never grows it.
 type FCHT struct {
-	m map[int64]nand.Addr
+	idx *lbaindex.Table
 }
 
-// NewFCHT returns an empty table.
-func NewFCHT() *FCHT { return &FCHT{m: make(map[int64]nand.Addr)} }
+// NewFCHT returns an empty table sized for a device of the given block
+// count: at most two pages per slot can be cached at once.
+func NewFCHT(blocks int) *FCHT {
+	return &FCHT{idx: lbaindex.New(blocks * 2 * nand.SlotsPerBlock)}
+}
+
+// pack encodes a Flash address as block*128 + slot*2 + sub, one code
+// per potential page. It panics on an address the code cannot
+// represent, so two addresses can never alias.
+func pack(a nand.Addr) int32 {
+	if a.Slot < 0 || a.Slot >= nand.SlotsPerBlock || a.Sub < 0 || a.Sub > 1 ||
+		a.Block < 0 || a.Block > math.MaxInt32/(2*nand.SlotsPerBlock) {
+		panic(fmt.Sprintf("tables: FCHT cannot pack address %v", a))
+	}
+	return int32((a.Block*nand.SlotsPerBlock+a.Slot)*2 + a.Sub)
+}
+
+// unpack inverts pack.
+func unpack(v int32) nand.Addr {
+	return nand.Addr{
+		Block: int(v) / (2 * nand.SlotsPerBlock),
+		Slot:  int(v) / 2 % nand.SlotsPerBlock,
+		Sub:   int(v) & 1,
+	}
+}
 
 // Get returns the Flash address caching lba.
 func (f *FCHT) Get(lba int64) (nand.Addr, bool) {
-	a, ok := f.m[lba]
-	return a, ok
+	v, ok := f.idx.Get(lba)
+	if !ok {
+		return nand.Addr{}, false
+	}
+	return unpack(v), true
 }
 
 // Put records that lba is cached at addr, replacing any previous
 // mapping.
-func (f *FCHT) Put(lba int64, addr nand.Addr) { f.m[lba] = addr }
+func (f *FCHT) Put(lba int64, addr nand.Addr) { f.idx.Put(lba, pack(addr)) }
 
 // Delete removes the mapping for lba if present.
-func (f *FCHT) Delete(lba int64) { delete(f.m, lba) }
+func (f *FCHT) Delete(lba int64) { f.idx.Delete(lba) }
 
 // Len returns the number of cached disk pages.
-func (f *FCHT) Len() int { return len(f.m) }
+func (f *FCHT) Len() int { return f.idx.Len() }
 
 // Range calls fn for every cached mapping until fn returns false.
 // Iteration order is unspecified; fn must not mutate the table.
 func (f *FCHT) Range(fn func(lba int64, addr nand.Addr) bool) {
-	for lba, a := range f.m {
-		if !fn(lba, a) {
-			return
-		}
-	}
+	f.idx.Range(func(lba int64, v int32) bool { return fn(lba, unpack(v)) })
 }
 
 // PageStatus is one FPST entry (section 3.2). Strength and Mode are

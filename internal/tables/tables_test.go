@@ -1,6 +1,7 @@
 package tables
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -10,7 +11,7 @@ import (
 )
 
 func TestFCHTBasics(t *testing.T) {
-	f := NewFCHT()
+	f := NewFCHT(16)
 	if _, ok := f.Get(42); ok {
 		t.Fatal("empty table reported a hit")
 	}
@@ -36,7 +37,7 @@ func TestFCHTBasics(t *testing.T) {
 }
 
 func TestFCHTProperty(t *testing.T) {
-	f := NewFCHT()
+	f := NewFCHT(1)
 	check := func(lbas []int64) bool {
 		for i, lba := range lbas {
 			f.Put(lba, nand.Addr{Block: i})
@@ -64,6 +65,45 @@ func TestFCHTProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestFCHTPackRoundTrip(t *testing.T) {
+	seen := map[int32]nand.Addr{}
+	for _, b := range []int{0, 1, 2, 1000, math.MaxInt32 / 128} {
+		for s := 0; s < nand.SlotsPerBlock; s++ {
+			for sub := 0; sub < 2; sub++ {
+				a := nand.Addr{Block: b, Slot: s, Sub: sub}
+				v := pack(a)
+				if prev, dup := seen[v]; dup {
+					t.Fatalf("%v and %v both pack to %d", prev, a, v)
+				}
+				seen[v] = a
+				if got := unpack(v); got != a {
+					t.Fatalf("unpack(pack(%v)) = %v", a, got)
+				}
+			}
+		}
+	}
+}
+
+func TestFCHTRefusesUnpackableAddress(t *testing.T) {
+	for _, a := range []nand.Addr{
+		{Block: -1},
+		{Block: math.MaxInt32/128 + 1},
+		{Slot: -1},
+		{Slot: nand.SlotsPerBlock},
+		{Sub: -1},
+		{Sub: 2},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Put accepted %v", a)
+				}
+			}()
+			NewFCHT(1).Put(1, a)
+		}()
 	}
 }
 
