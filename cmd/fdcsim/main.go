@@ -58,6 +58,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -238,6 +239,17 @@ func main() {
 	flash, err := parseSize(*flashSize)
 	if err != nil {
 		usageErr("-flash: %v", err)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"wear-accel", *wearAccel}, {"retention-accel", *retentionAccel},
+		{"disturb-reads", *disturbReads}, {"refresh-threshold", *refreshThresh},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			usageErr("-%s %g is not a finite number", f.name, f.v)
+		}
 	}
 	switch {
 	case *requests < 0:

@@ -157,8 +157,9 @@ func TestPublicAPIPersistence(t *testing.T) {
 	}
 }
 
-// TestPublicAPIOpenCacheRecovery exercises the crash-tolerant path and
-// the deprecated wrappers' delegation to OpenCache.
+// TestPublicAPIOpenCacheRecovery exercises the crash-tolerant path:
+// a garbage image under WithRecovery yields a usable cold cache and a
+// report naming the cause, and WithObserver sees the open event first.
 func TestPublicAPIOpenCacheRecovery(t *testing.T) {
 	cfg := DefaultCacheConfig(8 << 20)
 	cfg.Seed = 5

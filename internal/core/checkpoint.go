@@ -3,22 +3,25 @@ package core
 import (
 	"fmt"
 
+	"flashdc/internal/ecc"
 	"flashdc/internal/fault"
 	"flashdc/internal/nand"
 	"flashdc/internal/policy"
 	"flashdc/internal/sim"
 	"flashdc/internal/tables"
+	"flashdc/internal/wear"
 )
 
-// Campaign checkpointing: unlike SaveMetadata (which captures only
-// what survives a power cycle — the management tables — and rebuilds
-// the rest by replay), a checkpoint captures the complete simulation
-// state so a multi-year wear campaign can stop and resume with the
-// continuation bit-identical to an unbroken run. That means carrying
-// state the metadata image deliberately discards: exact region LRU
+// Campaign checkpointing: a checkpoint captures the complete
+// simulation state so a multi-year wear campaign can stop and resume
+// with the continuation bit-identical to an unbroken run. Beyond the
+// management tables and the Flash contents that means exact region LRU
 // recency, allocator cursors and heuristic accumulators, the fault
 // injector's RNG position, retention dwell stamps, per-block disturb
-// counters and the pending scrub deadline.
+// counters and the pending scrub deadline. The metadata image
+// (SaveMetadata) is the same snapshot with everything a power cycle
+// loses cleared (see powerCycle in persist.go); both load through one
+// validator.
 //
 // The wear trajectories (per-page bit-error curves) are intentionally
 // NOT serialised: they are a pure function of (Config.Seed, geometry)
@@ -91,6 +94,12 @@ func (c *Cache) Checkpoint() (*CacheCheckpoint, error) {
 	if c.sched.Active() {
 		return nil, fmt.Errorf("core: checkpointing is not supported with a non-default NAND scheduler (channels/banks/write buffer)")
 	}
+	return c.snapshot()
+}
+
+// snapshot captures the cache's complete state at any scheduler
+// geometry; Checkpoint and SaveMetadata are its two callers.
+func (c *Cache) snapshot() (*CacheCheckpoint, error) {
 	dev, err := c.dev.Checkpoint()
 	if err != nil {
 		return nil, fmt.Errorf("core: checkpointing device: %w", err)
@@ -159,89 +168,71 @@ func (c *Cache) Checkpoint() (*CacheCheckpoint, error) {
 // Restore overwrites the cache's state with a checkpoint taken from a
 // cache built with the same configuration. The receiver should be
 // fresh from New (with any clock already attached); mid-run restores
-// would leak the previous contents' event state. Dimension mismatches
-// and the final integrity audit reject a checkpoint that does not fit
-// the configuration, before and after applying it respectively.
+// would leak the previous contents' event state. A checkpoint that
+// does not fit the configuration, or describes a state no run could
+// reach, is rejected before anything is applied and leaves the
+// receiver untouched.
 func (c *Cache) Restore(ck *CacheCheckpoint) error {
 	if c.sched.Active() {
 		return fmt.Errorf("core: restoring into a non-default NAND scheduler (channels/banks/write buffer) is not supported")
 	}
-	if ck.FlashBytes != c.cfg.FlashBytes {
-		return fmt.Errorf("core: checkpoint for %dB Flash, config says %dB",
-			ck.FlashBytes, c.cfg.FlashBytes)
+	return c.restore(ck)
+}
+
+// restore is Restore at any scheduler geometry, the shared tail of
+// Restore and LoadMetadata: validate everything, then apply.
+func (c *Cache) restore(ck *CacheCheckpoint) error {
+	fcht, err := c.validate(ck)
+	if err != nil {
+		return err
 	}
-	if len(ck.Pages) != len(c.meta) || len(ck.Blocks) != len(c.meta) {
-		return fmt.Errorf("core: checkpoint for %d/%d blocks, cache has %d",
-			len(ck.Pages), len(ck.Blocks), len(c.meta))
-	}
-	if len(ck.Regions) != len(c.regions) {
-		return fmt.Errorf("core: checkpoint has %d regions, cache has %d",
-			len(ck.Regions), len(c.regions))
-	}
-	if err := c.dev.Restore(ck.Device); err != nil {
-		return fmt.Errorf("core: restoring device: %w", err)
-	}
+	// The injector and the admission filter each restore atomically;
+	// the injector is put back if the filter then refuses its state.
 	inj := c.dev.FaultInjector()
-	if ck.HasInjector != (inj != nil) {
-		return fmt.Errorf("core: checkpoint injector presence %v, config says %v",
-			ck.HasInjector, inj != nil)
-	}
+	prev := inj.Checkpoint()
 	if inj != nil {
 		if err := inj.Restore(ck.Injector); err != nil {
 			return fmt.Errorf("core: restoring fault injector: %w", err)
 		}
 	}
 	if err := c.admitPol.restore(ck.AdmitState); err != nil {
+		if inj != nil {
+			_ = inj.Restore(prev) // its own state: cannot be refused
+		}
 		return fmt.Errorf("core: restoring admission policy state: %w", err)
 	}
+	if err := c.dev.Restore(ck.Device); err != nil {
+		panic("core: internal: validated device checkpoint refused: " + err.Error())
+	}
 
-	c.fcht = tables.NewFCHT(len(c.meta))
+	c.fcht = fcht
 	for b := range c.meta {
-		if len(ck.Pages[b]) != nand.SlotsPerBlock {
-			return fmt.Errorf("core: checkpoint block %d has %d slots, want %d",
-				b, len(ck.Pages[b]), nand.SlotsPerBlock)
-		}
 		for s := 0; s < nand.SlotsPerBlock; s++ {
 			for sub := 0; sub < 2; sub++ {
-				a := nand.Addr{Block: b, Slot: s, Sub: sub}
-				st := ck.Pages[b][s][sub]
-				*c.fpst.At(a) = st
-				if st.Valid {
-					c.fcht.Put(st.LBA, a)
-				}
+				*c.fpst.At(nand.Addr{Block: b, Slot: s, Sub: sub}) = ck.Pages[b][s][sub]
 			}
 		}
 		cb := &ck.Blocks[b]
-		if cb.Region < 0 || cb.Region >= len(c.regions) {
-			return fmt.Errorf("core: checkpoint block %d in region %d of %d",
-				b, cb.Region, len(c.regions))
+		c.meta[b] = blockMeta{
+			state:        blockLifecycle(cb.State),
+			region:       cb.Region,
+			valid:        cb.Valid,
+			consumed:     cb.Consumed,
+			cursorSlot:   cb.CursorSlot,
+			cursorSub:    cb.CursorSub,
+			accessSum:    cb.AccessSum,
+			lastEraseSeq: cb.LastErase,
+			progFails:    cb.ProgFails,
 		}
-		m := &c.meta[b]
-		m.state = blockLifecycle(cb.State)
-		m.region = cb.Region
-		m.valid = cb.Valid
-		m.consumed = cb.Consumed
-		m.cursorSlot = cb.CursorSlot
-		m.cursorSub = cb.CursorSub
-		m.accessSum = cb.AccessSum
-		m.lastEraseSeq = cb.LastErase
-		m.progFails = cb.ProgFails
-		m.elem = nil
 		*c.fbst.At(b) = cb.Status
 	}
 	for i, r := range c.regions {
 		cr := &ck.Regions[i]
-		if cr.Open < -1 || cr.Open >= len(c.meta) {
-			return fmt.Errorf("core: checkpoint region %d opens block %d of %d", i, cr.Open, len(c.meta))
-		}
 		r.free = append(r.free[:0], cr.Free...)
 		r.open = cr.Open
 		r.blocks = cr.Blocks
 		r.lru.Init()
 		for _, b := range cr.LRU {
-			if b < 0 || b >= len(c.meta) {
-				return fmt.Errorf("core: checkpoint region %d lists block %d of %d", i, b, len(c.meta))
-			}
 			c.meta[b].elem = r.lru.PushBack(b)
 		}
 	}
@@ -263,4 +254,175 @@ func (c *Cache) Restore(ck *CacheCheckpoint) error {
 		return fmt.Errorf("core: checkpoint fails integrity audit (wrong configuration?): %w", err)
 	}
 	return nil
+}
+
+// validate checks that ck describes a state this cache could have
+// reached, before any of it is applied: geometry, every table entry's
+// range, the page table against the device contents, and every block
+// in exactly one region structure — the one its state names. It
+// returns the FCHT rebuilt from the page table; a duplicate LBA shows
+// up as an existing mapping. A state that passes also passes
+// CheckIntegrity, and runs without tripping a range check.
+func (c *Cache) validate(ck *CacheCheckpoint) (*tables.FCHT, error) {
+	blocks := len(c.meta)
+	if ck.FlashBytes != c.cfg.FlashBytes {
+		return nil, fmt.Errorf("core: checkpoint for %dB Flash, config says %dB", ck.FlashBytes, c.cfg.FlashBytes)
+	}
+	if len(ck.Pages) != blocks || len(ck.Blocks) != blocks || len(ck.Device.Blocks) != blocks {
+		return nil, fmt.Errorf("core: checkpoint for %d/%d/%d blocks, cache has %d",
+			len(ck.Pages), len(ck.Blocks), len(ck.Device.Blocks), blocks)
+	}
+	if len(ck.Regions) != len(c.regions) {
+		return nil, fmt.Errorf("core: checkpoint has %d regions, cache has %d", len(ck.Regions), len(c.regions))
+	}
+	if inj := c.dev.FaultInjector(); ck.HasInjector != (inj != nil) {
+		return nil, fmt.Errorf("core: checkpoint injector presence %v, config says %v", ck.HasInjector, inj != nil)
+	}
+	if ck.ScrubBlock < 0 || ck.ScrubBlock > blocks || ck.ScrubSlot < 0 || ck.ScrubSlot >= nand.SlotsPerBlock ||
+		ck.ScrubSub < 0 || ck.ScrubSub > 1 {
+		return nil, fmt.Errorf("core: scrub cursor b%d/s%d.%d out of range", ck.ScrubBlock, ck.ScrubSlot, ck.ScrubSub)
+	}
+	// ForcedStrength may pin pages beyond the programmable range.
+	maxStrength := max(ecc.MaxStrength, c.cfg.BaseStrength)
+	fcht := tables.NewFCHT(blocks)
+	for b := range ck.Blocks {
+		cb, db := &ck.Blocks[b], &ck.Device.Blocks[b]
+		state := blockLifecycle(cb.State)
+		if state > blockRetired {
+			return nil, fmt.Errorf("core: block %d in impossible state %d", b, cb.State)
+		}
+		if cb.Region < 0 || cb.Region >= len(c.regions) {
+			return nil, fmt.Errorf("core: block %d in region %d of %d", b, cb.Region, len(c.regions))
+		}
+		retired := state == blockRetired
+		if db.Retired != retired || cb.Status.Retired != retired {
+			return nil, fmt.Errorf("core: block %d retired in allocator %v, device %v, FBST %v",
+				b, retired, db.Retired, cb.Status.Retired)
+		}
+		if db.EraseCount < 0 || db.EraseCount > persistMaxErases || db.Reads < 0 {
+			return nil, fmt.Errorf("core: block %d erase count %d or read count %d out of range",
+				b, db.EraseCount, db.Reads)
+		}
+		if cb.Status.Erases < 0 || cb.Status.TotalECC < 0 || cb.Status.TotalSLC < 0 {
+			return nil, fmt.Errorf("core: block %d has negative wear statistics", b)
+		}
+		if len(ck.Pages[b]) != nand.SlotsPerBlock || len(db.Slots) != nand.SlotsPerBlock {
+			return nil, fmt.Errorf("core: block %d has %d/%d slots, want %d",
+				b, len(ck.Pages[b]), len(db.Slots), nand.SlotsPerBlock)
+		}
+		if cb.CursorSlot < 0 || cb.CursorSlot > nand.SlotsPerBlock || cb.CursorSub < 0 || cb.CursorSub > 1 {
+			return nil, fmt.Errorf("core: block %d cursor %d/%d out of range", b, cb.CursorSlot, cb.CursorSub)
+		}
+		// Free and open blocks allocate from the cursor on, so every
+		// page there must still be erased.
+		allocating := state == blockFree || state == blockOpen
+		// passed counts the page positions before the cursor: every
+		// allocation, skip or burned page advances both together.
+		passed, valid := cb.CursorSub, 0
+		for s := 0; s < nand.SlotsPerBlock; s++ {
+			slot := &db.Slots[s]
+			if slot.Mode > wear.MLC {
+				return nil, fmt.Errorf("core: slot b%d/s%d in unknown density mode", b, s)
+			}
+			subs := 1
+			if slot.Mode == wear.MLC {
+				subs = 2
+			}
+			if s < cb.CursorSlot {
+				passed += subs
+			}
+			if allocating && s == cb.CursorSlot && cb.CursorSub == 1 && subs == 1 {
+				return nil, fmt.Errorf("core: block %d cursor on the second sub-page of SLC slot %d", b, s)
+			}
+			for sub := 0; sub < 2; sub++ {
+				ps := &ck.Pages[b][s][sub]
+				if ps.Strength < 1 || ps.Strength > maxStrength ||
+					ps.StagedStrength < 1 || ps.StagedStrength > maxStrength {
+					return nil, fmt.Errorf("core: page b%d/s%d.%d ECC strength %d/%d out of range",
+						b, s, sub, ps.Strength, ps.StagedStrength)
+				}
+				if ps.Mode != slot.Mode || ps.StagedMode > wear.MLC {
+					return nil, fmt.Errorf("core: page b%d/s%d.%d density disagrees with the device", b, s, sub)
+				}
+				if allocating && (s > cb.CursorSlot || s == cb.CursorSlot && sub >= cb.CursorSub) &&
+					slot.Programmed[sub] {
+					return nil, fmt.Errorf("core: page b%d/s%d.%d beyond the allocation cursor is programmed", b, s, sub)
+				}
+				if !ps.Valid {
+					continue
+				}
+				valid++
+				if sub >= subs || ps.LBA < 0 || !slot.Programmed[sub] || slot.Data[sub] != uint64(ps.LBA) {
+					return nil, fmt.Errorf("core: page b%d/s%d.%d claims LBA %d the device does not hold",
+						b, s, sub, ps.LBA)
+				}
+				if _, dup := fcht.Get(ps.LBA); dup {
+					return nil, fmt.Errorf("core: LBA %d cached twice", ps.LBA)
+				}
+				fcht.Put(ps.LBA, nand.Addr{Block: b, Slot: s, Sub: sub})
+			}
+		}
+		if cb.Consumed != passed || cb.Valid > cb.Consumed {
+			return nil, fmt.Errorf("core: block %d claims %d valid of %d consumed pages, cursor passed %d",
+				b, cb.Valid, cb.Consumed, passed)
+		}
+		if valid != cb.Valid {
+			return nil, fmt.Errorf("core: block %d counts %d valid pages, page table holds %d", b, cb.Valid, valid)
+		}
+		if valid != 0 && (state == blockFree || retired) {
+			return nil, fmt.Errorf("core: block %d in state %d holds %d valid pages", b, state, valid)
+		}
+	}
+	if int64(fcht.Len()) != ck.TotalValid {
+		return nil, fmt.Errorf("core: %d valid pages in the page table, %d counted globally", fcht.Len(), ck.TotalValid)
+	}
+	// Every live block sits in exactly one structure of its region:
+	// the free list, the open slot or the LRU, as its state says.
+	listed := make([]bool, blocks)
+	claim := func(region, b int, want blockLifecycle) error {
+		if b < 0 || b >= blocks {
+			return fmt.Errorf("core: region %d lists block %d of %d", region, b, blocks)
+		}
+		if listed[b] {
+			return fmt.Errorf("core: block %d listed twice", b)
+		}
+		listed[b] = true
+		if cb := &ck.Blocks[b]; blockLifecycle(cb.State) != want || cb.Region != region {
+			return fmt.Errorf("core: region %d lists block %d (state %d, region %d) as state %d",
+				region, b, cb.State, cb.Region, want)
+		}
+		return nil
+	}
+	for i := range ck.Regions {
+		cr := &ck.Regions[i]
+		population := len(cr.Free) + len(cr.LRU)
+		for _, b := range cr.Free {
+			if err := claim(i, b, blockFree); err != nil {
+				return nil, err
+			}
+		}
+		if cr.Open != -1 {
+			if err := claim(i, cr.Open, blockOpen); err != nil {
+				return nil, err
+			}
+			population++
+		}
+		for _, b := range cr.LRU {
+			if err := claim(i, b, blockActive); err != nil {
+				return nil, err
+			}
+		}
+		if population != cr.Blocks {
+			return nil, fmt.Errorf("core: region %d holds %d blocks, accounts for %d", i, population, cr.Blocks)
+		}
+		if population < 2 && !ck.Dead {
+			return nil, fmt.Errorf("core: region %d operates on %d blocks, below the minimum of 2", i, population)
+		}
+	}
+	for b := range ck.Blocks {
+		if !listed[b] && blockLifecycle(ck.Blocks[b].State) != blockRetired {
+			return nil, fmt.Errorf("core: block %d in state %d belongs to no region structure", b, ck.Blocks[b].State)
+		}
+	}
+	return fcht, nil
 }

@@ -92,7 +92,7 @@ func TestRestoredCacheKeepsWorking(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drive the restored cache hard enough to force allocation, GC
-	// and eviction on the replayed allocator state.
+	// and eviction on the loaded allocator state.
 	rng := sim.NewRNG(77)
 	for i := 0; i < 40000; i++ {
 		lba := int64(rng.Intn(20000))

@@ -1,7 +1,11 @@
 // Package envelope implements the self-validating on-disk container
 // shared by everything the simulator persists: the Flash metadata
-// image (core.SaveMetadata) and the full-campaign checkpoint
-// (engine.WriteCheckpoint). The layout is
+// image (core.SaveMetadata, magic "FDCM" v3) and the full-campaign
+// checkpoint (engine.WriteCheckpoint, magic "FDCK" v1). Both carry the
+// same core.CacheCheckpoint — the metadata image with what a power
+// cycle loses cleared, the campaign checkpoint once per shard — and
+// both restore through core's one validator; the envelope only proves
+// the bytes intact. The layout is
 //
 //	offset 0   magic, 4 bytes (caller-chosen, e.g. "FDCM")
 //	offset 4   format version, uint32 little-endian
