@@ -5,7 +5,6 @@ import (
 
 	"flashdc/internal/core"
 	"flashdc/internal/sim"
-	"flashdc/internal/trace"
 	"flashdc/internal/workload"
 )
 
@@ -24,38 +23,7 @@ func ablateRun(o Options, mutate func(*core.Config), requests int) (float64, cor
 	mutate(&cfg)
 	c := core.New(cfg)
 	g := workload.MustNew("dbt2", o.Scale, o.Seed+19)
-	warm := requests / 2
-	var reads, misses int64
-	var hitLatency sim.Duration
-	for i := 0; i < requests; i++ {
-		r := g.Next()
-		r.Expand(func(lba int64) {
-			if r.Op == trace.OpWrite {
-				c.Write(lba)
-				return
-			}
-			out := c.Read(lba)
-			if i >= warm {
-				reads++
-				if !out.Hit {
-					misses++
-				} else {
-					hitLatency += out.Latency
-				}
-			}
-			if !out.Hit {
-				c.Insert(lba)
-			}
-		})
-	}
-	miss := 0.0
-	if reads > 0 {
-		miss = float64(misses) / float64(reads)
-	}
-	avgHit := sim.Duration(0)
-	if h := reads - misses; h > 0 {
-		avgHit = sim.Duration(int64(hitLatency) / h)
-	}
+	miss, avgHit := missRun(c, g, requests, requests/2)
 	return miss, c.Stats(), avgHit
 }
 
@@ -68,10 +36,7 @@ func ablateSplit(o Options) *Table {
 		Note:   "dbt2 workload; the paper picks 0.90 from observed write behaviour",
 		Header: []string{"read_fraction", "miss_rate", "evictions", "gc_runs"},
 	}
-	requests := o.Requests
-	if requests == 0 {
-		requests = 120000
-	}
+	requests := o.budget(120000)
 	for _, f := range []float64{0.70, 0.80, 0.90, 0.95} {
 		miss, st, _ := ablateRun(o, func(c *core.Config) { c.ReadFraction = f }, requests)
 		t.AddRow(f, miss, st.Evictions, st.GCRuns)
@@ -92,28 +57,13 @@ func ablateWear(o Options) *Table {
 		Note:   "hot-write churn with background reads; spread = max-min block erase count; lower spread = better levelling",
 		Header: []string{"threshold", "wear_swaps", "erase_min", "erase_max", "erase_spread"},
 	}
-	requests := o.Requests
-	if requests == 0 {
-		requests = 150000
-	}
+	requests := o.budget(150000)
 	for _, th := range []float64{64, 256, 1024, 1 << 30} {
 		cfg := core.DefaultConfig(4 << 20) // small device so wear develops
 		cfg.WearThreshold = th
 		cfg.Seed = o.Seed
 		c := core.New(cfg)
-		rng := sim.NewRNG(o.Seed + 23)
-		hot := int(c.CapacityPages() / 16)
-		cold := int(c.CapacityPages() * 2)
-		for i := 0; i < requests; i++ {
-			if rng.Bool(0.8) {
-				c.Write(int64(rng.Intn(hot)))
-			} else {
-				lba := int64(hot + rng.Intn(cold))
-				if !c.Read(lba).Hit {
-					c.Insert(lba)
-				}
-			}
-		}
+		hotWriteChurn(c, sim.NewRNG(o.Seed+23), requests)
 		min, max := eraseSpread(c)
 		label := fmt.Sprintf("%.0f", th)
 		if th >= 1<<30 {
@@ -133,10 +83,7 @@ func ablateHot(o Options) *Table {
 		Note:   "dbt2 workload; lower saturation promotes more pages to SLC (faster hits, less capacity)",
 		Header: []string{"saturation", "miss_rate", "promotions", "avg_hit_latency_us"},
 	}
-	requests := o.Requests
-	if requests == 0 {
-		requests = 120000
-	}
+	requests := o.budget(120000)
 	for _, sat := range []uint32{8, 32, 64, 256} {
 		miss, st, hit := ablateRun(o, func(c *core.Config) { c.HotSaturation = sat }, requests)
 		t.AddRow(sat, miss, st.Promotions, hit.Microseconds())
@@ -155,40 +102,37 @@ func ablateGC(o Options) *Table {
 		Note:   "Financial1 (write-heavy) workload; the paper triggers read-region GC below 90% valid",
 		Header: []string{"watermark", "miss_rate", "gc_runs", "gc_relocations", "gc_time_ms"},
 	}
-	requests := o.Requests
-	if requests == 0 {
-		requests = 150000
-	}
+	requests := o.budget(150000)
 	for _, w := range []float64{0.70, 0.80, 0.90, 0.99} {
 		cfg := core.DefaultConfig(int64(float64(256<<20) * o.Scale))
 		cfg.Watermark = w
 		cfg.Seed = o.Seed
 		c := core.New(cfg)
 		g := workload.MustNew("Financial1", o.Scale, o.Seed+29)
-		var reads, misses int64
-		for i := 0; i < requests; i++ {
-			r := g.Next()
-			r.Expand(func(lba int64) {
-				if r.Op == trace.OpWrite {
-					c.Write(lba)
-					return
-				}
-				reads++
-				if !c.Read(lba).Hit {
-					misses++
-					c.Insert(lba)
-				}
-			})
-		}
-		miss := 0.0
-		if reads > 0 {
-			miss = float64(misses) / float64(reads)
-		}
+		miss, _ := missRun(c, g, requests, 0)
 		st := c.Stats()
 		t.AddRow(w, miss, st.GCRuns, st.GCRelocations,
 			float64(st.GCTime)/float64(sim.Millisecond))
 	}
 	return t
+}
+
+// hotWriteChurn issues n operations against c, stopping early if it
+// dies: 80% writes over a hot set of a sixteenth of the capacity, 20%
+// reads over a cold range twice the capacity beyond it. The wear
+// ablations report only wear swaps, erase counts and retirements,
+// none of which a dead cache changes, so stopping at death is
+// invisible to them.
+func hotWriteChurn(c *core.Cache, rng *sim.RNG, n int) {
+	hot := int(c.CapacityPages() / 16)
+	cold := int(c.CapacityPages() * 2)
+	for i := 0; i < n && !c.Dead(); i++ {
+		if rng.Bool(0.8) {
+			c.Write(int64(rng.Intn(hot)))
+		} else {
+			access(c, false, int64(hot+rng.Intn(cold)))
+		}
+	}
 }
 
 func eraseSpread(c *core.Cache) (min, max int) {
@@ -220,10 +164,7 @@ func ablateWearFn(o Options) *Table {
 		Note:   "write-hot churn with accelerated wear; spread = max-min block erase count",
 		Header: []string{"k1", "k2", "wear_swaps", "erase_spread", "retired"},
 	}
-	requests := o.Requests
-	if requests == 0 {
-		requests = 150000
-	}
+	requests := o.budget(150000)
 	for _, ks := range [][2]float64{{0.5, 2}, {2, 20}, {8, 80}} {
 		cfg := core.DefaultConfig(4 << 20)
 		cfg.K1, cfg.K2 = ks[0], ks[1]
@@ -231,19 +172,7 @@ func ablateWearFn(o Options) *Table {
 		cfg.WearAcceleration = 200
 		cfg.Seed = o.Seed
 		c := core.New(cfg)
-		rng := sim.NewRNG(o.Seed + 53)
-		hot := int(c.CapacityPages() / 16)
-		cold := int(c.CapacityPages() * 2)
-		for i := 0; i < requests && !c.Dead(); i++ {
-			if rng.Bool(0.8) {
-				c.Write(int64(rng.Intn(hot)))
-			} else {
-				lba := int64(hot + rng.Intn(cold))
-				if !c.Read(lba).Hit {
-					c.Insert(lba)
-				}
-			}
-		}
+		hotWriteChurn(c, sim.NewRNG(o.Seed+53), requests)
 		min, max := eraseSpread(c)
 		t.AddRow(ks[0], ks[1], c.Stats().WearSwaps, max-min, c.Stats().RetiredBlocks)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"flashdc/internal/hier"
-	"flashdc/internal/server"
 	"flashdc/internal/sim"
 	"flashdc/internal/workload"
 )
@@ -32,10 +31,7 @@ func ablateArea(o Options) *Table {
 		Header: []string{"flash_area_pct", "dram", "flash", "avg_latency_us",
 			"memory_power_W", "rel_bandwidth"},
 	}
-	requests := o.Requests
-	if requests == 0 {
-		requests = 100000
-	}
+	requests := o.budget(100000)
 	budgetDRAM := int64(float64(512<<20) * o.Scale) // area in DRAM-byte equivalents
 
 	type point struct {
@@ -53,23 +49,9 @@ func ablateArea(o Options) *Table {
 		}
 		flashBytes := int64(float64(budgetDRAM) * f * dramToFlashDensity)
 		s := hier.New(hier.Config{DRAMBytes: dramBytes, FlashBytes: flashBytes, Seed: o.Seed})
-		g := workload.MustNew("dbt2", o.Scale, o.Seed+43)
-		for i := 0; i < 2*requests; i++ {
-			s.Handle(g.Next())
-		}
-		s.ResetStats()
-		for i := 0; i < requests; i++ {
-			s.Handle(g.Next())
-		}
-		s.Drain()
+		warmMeasure(s, workload.MustNew("dbt2", o.Scale, o.Seed+43), 2*requests, requests)
+		elapsed := completionTime(s)
 		st := s.Stats()
-		elapsed := server.Default().Elapsed(st.Requests, st.AvgLatency())
-		if db := s.DiskBusy(); db > elapsed {
-			elapsed = db
-		}
-		if fb := s.FlashBusy(); fb > elapsed {
-			elapsed = fb
-		}
 		pw := s.Power(elapsed)
 		pts = append(pts, point{
 			label:      fmt.Sprintf("%.0f", f*100),

@@ -26,11 +26,7 @@ func init() { register("batch_throughput", batchThroughput) }
 // throughput rising with batch size and saturating near DefaultBatch
 // — is the stable claim.
 func batchThroughput(o Options) *Table {
-	o = o.normalized()
-	n := o.Requests
-	if n == 0 {
-		n = 200000
-	}
+	n := o.budget(200000)
 	t := &Table{
 		ID:    "batch_throughput",
 		Title: "Batched replay throughput by trace format and batch size",

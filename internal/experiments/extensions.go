@@ -7,7 +7,6 @@ import (
 	"flashdc/internal/dram"
 	"flashdc/internal/hier"
 	"flashdc/internal/sched"
-	"flashdc/internal/server"
 	"flashdc/internal/sim"
 	"flashdc/internal/workload"
 )
@@ -28,10 +27,7 @@ func ablateReadahead(o Options) *Table {
 		Note:   fmt.Sprintf("128MB DRAM + 2GB Flash at %.4g scale", o.Scale),
 		Header: []string{"readahead", "avg_latency_us", "p95_latency_us", "prefetched", "disk_reads"},
 	}
-	requests := o.Requests
-	if requests == 0 {
-		requests = 100000
-	}
+	requests := o.budget(100000)
 	for _, ra := range []int{0, 4, 16, 64} {
 		s := hier.New(hier.Config{
 			DRAMBytes:  int64(float64(128<<20) * o.Scale),
@@ -39,14 +35,7 @@ func ablateReadahead(o Options) *Table {
 			ReadAhead:  ra,
 			Seed:       o.Seed,
 		})
-		g := workload.MustNew("SPECWeb99", o.Scale, o.Seed+59)
-		for i := 0; i < 2*requests; i++ {
-			s.Handle(g.Next())
-		}
-		s.ResetStats()
-		for i := 0; i < requests; i++ {
-			s.Handle(g.Next())
-		}
+		warmMeasure(s, workload.MustNew("SPECWeb99", o.Scale, o.Seed+59), 2*requests, requests)
 		st := s.Stats()
 		t.AddRow(ra,
 			st.AvgLatency().Microseconds(),
@@ -68,34 +57,15 @@ func loadSweep(o Options) *Table {
 		Note:   fmt.Sprintf("fixed work at decreasing offered load; %.4g scale", o.Scale),
 		Header: []string{"load_pct_of_base_peak", "dram_only_W", "dram_flash_W", "savings_pct"},
 	}
-	requests := o.Requests
-	if requests == 0 {
-		requests = 80000
-	}
+	requests := o.budget(80000)
 	run := func(dram, flash int64) (*hier.System, sim.Duration) {
 		s := hier.New(hier.Config{
 			DRAMBytes:  int64(float64(dram) * o.Scale),
 			FlashBytes: int64(float64(flash) * o.Scale),
 			Seed:       o.Seed,
 		})
-		g := workload.MustNew("dbt2", o.Scale, o.Seed+61)
-		for i := 0; i < 2*requests; i++ {
-			s.Handle(g.Next())
-		}
-		s.ResetStats()
-		for i := 0; i < requests; i++ {
-			s.Handle(g.Next())
-		}
-		s.Drain()
-		st := s.Stats()
-		elapsed := server.Default().Elapsed(st.Requests, st.AvgLatency())
-		if db := s.DiskBusy(); db > elapsed {
-			elapsed = db
-		}
-		if fb := s.FlashBusy(); fb > elapsed {
-			elapsed = fb
-		}
-		return s, elapsed
+		warmMeasure(s, workload.MustNew("dbt2", o.Scale, o.Seed+61), 2*requests, requests)
+		return s, completionTime(s)
 	}
 	base, basePeak := run(512<<20, 0)
 	hybrid, hybridPeak := run(256<<20, 1<<30)
@@ -133,10 +103,7 @@ func ablateChannels(o Options) *Table {
 		Note:   "real command scheduler, random reads over a warm cache; bandwidth from the scheduler's busy horizon",
 		Header: []string{"channels", "makespan_ms", "reads_per_sec", "speedup"},
 	}
-	reads := o.Requests
-	if reads == 0 {
-		reads = 20000
-	}
+	reads := o.budget(20000)
 	var base float64
 	for _, channels := range []int{1, 2, 4, 8} {
 		fc := core.DefaultConfig(32 << 20)
@@ -153,9 +120,10 @@ func ablateChannels(o Options) *Table {
 			c.Insert(lba)
 		}
 		c.ResetDeviceStats()
+		// The footprint fits the read region, so every read hits.
 		rng := sim.NewRNG(o.Seed + 67)
 		for i := 0; i < reads; i++ {
-			c.Read(int64(rng.Uint64n(uint64(footprint))))
+			access(c, false, int64(rng.Uint64n(uint64(footprint))))
 		}
 		makespan := c.SchedHorizon()
 		rate := float64(reads) / sim.Duration(makespan).Seconds()
@@ -184,10 +152,7 @@ func gcContention(o Options) *Table {
 		Note:   fmt.Sprintf("unified cache at 95%% occupancy, 50/50 read-write churn, %.4g scale of 256MB", o.Scale),
 		Header: []string{"contention", "avg_hit_latency_us", "gc_time_s", "gc_runs"},
 	}
-	requests := o.Requests
-	if requests == 0 {
-		requests = 150000
-	}
+	requests := o.budget(150000)
 	for _, contention := range []bool{false, true} {
 		cfg := core.DefaultConfig(int64(float64(256<<20) * o.Scale))
 		cfg.Split = false
@@ -207,18 +172,10 @@ func gcContention(o Options) *Table {
 		var hitLat sim.Duration
 		for i := 0; i < requests; i++ {
 			lba := int64(rng.Uint64n(uint64(wss)))
-			var lat sim.Duration
-			if rng.Bool(0.5) {
-				lat = c.Write(lba)
-			} else {
-				out := c.Read(lba)
-				if out.Hit {
-					hits++
-					hitLat += out.Latency
-				} else {
-					lat = c.Insert(lba)
-				}
-				lat += out.Latency
+			out, lat := access(c, rng.Bool(0.5), lba)
+			if out.Hit {
+				hits++
+				hitLat += out.Latency
 			}
 			// Closed loop: the host issues the next operation only
 			// after the previous one completes.
@@ -252,10 +209,7 @@ func ablatePDC(o Options) *Table {
 		Note:   fmt.Sprintf("256MB DRAM + 1GB Flash at %.4g scale", o.Scale),
 		Header: []string{"policy", "pdc_hit_pct", "flash_hits", "disk_reads", "avg_latency_us"},
 	}
-	requests := o.Requests
-	if requests == 0 {
-		requests = 100000
-	}
+	requests := o.budget(100000)
 	for _, pc := range []struct {
 		name   string
 		policy dram.Policy
@@ -266,14 +220,7 @@ func ablatePDC(o Options) *Table {
 			PDCPolicy:  pc.policy,
 			Seed:       o.Seed,
 		})
-		g := workload.MustNew("dbt2", o.Scale, o.Seed+73)
-		for i := 0; i < 2*requests; i++ {
-			s.Handle(g.Next())
-		}
-		s.ResetStats()
-		for i := 0; i < requests; i++ {
-			s.Handle(g.Next())
-		}
+		warmMeasure(s, workload.MustNew("dbt2", o.Scale, o.Seed+73), 2*requests, requests)
 		st := s.Stats()
 		pages := st.ReadPages + st.WritePages
 		t.AddRow(pc.name,

@@ -28,10 +28,7 @@ func faultSweep(o Options) *Table {
 		Header: []string{"fault_rate", "miss_rate", "retries", "recovered",
 			"remaps", "retired", "scrub_migr", "valid_pages", "integrity"},
 	}
-	requests := o.Requests
-	if requests == 0 {
-		requests = 100000
-	}
+	requests := o.budget(100000)
 	for _, rate := range []float64{0, 1e-4, 1e-3, 5e-3, 2e-2} {
 		cfg := core.DefaultConfig(int64(float64(64<<20) * o.Scale))
 		cfg.Seed = o.Seed
@@ -53,11 +50,7 @@ func faultSweep(o Options) *Table {
 		footprint := 2 * int64(float64(64<<20)*o.Scale) / 2048
 		for i := 0; i < requests && !c.Dead(); i++ {
 			lba := int64(rng.Intn(int(footprint)))
-			if rng.Bool(0.3) {
-				c.Write(lba)
-			} else if !c.Read(lba).Hit {
-				c.Insert(lba)
-			}
+			access(c, rng.Bool(0.3), lba)
 		}
 		integrity := "ok"
 		if err := c.CheckIntegrity(); err != nil {

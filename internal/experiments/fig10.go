@@ -27,10 +27,7 @@ func fig10(o Options) *Table {
 			o.Scale),
 		Header: []string{"bch_t", "SPECWeb99_rel_bw", "dbt2_rel_bw"},
 	}
-	requests := o.Requests
-	if requests == 0 {
-		requests = 80000
-	}
+	requests := o.budget(80000)
 	strengths := []ecc.Strength{1, 2, 5, 8, 12, 15, 20, 30, 40, 50}
 	srv := server.Default()
 
@@ -44,16 +41,9 @@ func fig10(o Options) *Table {
 			Flash:      fc,
 			Seed:       o.Seed,
 		})
-		g := workload.MustNew(bench, o.Scale, o.Seed+11)
 		// Warm, then measure: the decode penalty only shows once the
 		// Flash tier is serving hits.
-		for i := 0; i < 2*requests; i++ {
-			sys.Handle(g.Next())
-		}
-		sys.ResetStats()
-		for i := 0; i < requests; i++ {
-			sys.Handle(g.Next())
-		}
+		warmMeasure(sys, workload.MustNew(bench, o.Scale, o.Seed+11), 2*requests, requests)
 		return srv.Bandwidth(sys.Stats().AvgLatency())
 	}
 

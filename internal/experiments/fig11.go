@@ -34,10 +34,7 @@ func fig11(o Options) *Table {
 			o.Scale),
 		Header: []string{"workload", "events", "code_strength_pct", "density_pct"},
 	}
-	requests := o.Requests
-	if requests == 0 {
-		requests = 400000
-	}
+	requests := o.budget(400000)
 	for _, name := range fig11Workloads {
 		g := workload.MustNew(name, o.Scale, o.Seed+13)
 		flashBytes := g.FootprintPages() * 2048 / 2
@@ -48,18 +45,7 @@ func fig11(o Options) *Table {
 		// mid-run rather than racing to end of life.
 		cfg.WearAcceleration = 150
 		c := core.New(cfg)
-		for i := 0; i < requests && !c.Dead(); i++ {
-			r := g.Next()
-			r.Expand(func(lba int64) {
-				if r.Op == trace.OpWrite {
-					c.Write(lba)
-					return
-				}
-				if !c.Read(lba).Hit {
-					c.Insert(lba)
-				}
-			})
-		}
+		runToDeath(c, g, requests, func(r trace.Request) { serveFlash(c, r, nil) })
 		gl := c.Global()
 		total := gl.ECCReconfigs + gl.DensityReconfigs
 		if total == 0 {

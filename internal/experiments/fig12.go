@@ -30,35 +30,39 @@ func fig12(o Options) *Table {
 			o.Scale),
 		Header: []string{"workload", "programmable", "bch1", "norm_programmable", "norm_bch1", "lifetime_gain"},
 	}
-	budget := o.Requests
-	if budget == 0 {
-		budget = 8_000_000
-	}
-	type row struct {
-		name       string
-		prog, base int64
-	}
-	var rows []row
-	var maxLife int64 = 1
+	budget := o.budget(8_000_000)
+	var rows []lifetimeRow
 	for _, name := range fig12Workloads {
-		prog := fig12Lifetime(o, name, true, budget)
-		base := fig12Lifetime(o, name, false, budget)
-		rows = append(rows, row{name, prog, base})
-		if prog > maxLife {
-			maxLife = prog
-		}
-		if base > maxLife {
-			maxLife = base
-		}
+		rows = append(rows, lifetimeRow{name: name,
+			prog: fig12Lifetime(o, name, true, budget),
+			base: fig12Lifetime(o, name, false, budget)})
+	}
+	addLifetimeRows(t, rows)
+	return t
+}
+
+// lifetimeRow is one workload of a lifetime figure: the programmable
+// and BCH-1 controllers' lifetimes, plus cells that follow the gain.
+type lifetimeRow struct {
+	name       string
+	prog, base int64
+	extra      []any
+}
+
+// addLifetimeRows appends rows to t with both lifetimes normalized to
+// the longest observed and the programmable controller's gain.
+func addLifetimeRows(t *Table, rows []lifetimeRow) {
+	var maxLife int64 = 1
+	for _, r := range rows {
+		maxLife = max(maxLife, r.prog, r.base)
 	}
 	for _, r := range rows {
-		gain := float64(r.prog) / float64(r.base)
-		t.AddRow(r.name, r.prog, r.base,
-			float64(r.prog)/float64(maxLife),
-			float64(r.base)/float64(maxLife),
-			gain)
+		cells := []any{r.name, r.prog, r.base,
+			float64(r.prog) / float64(maxLife),
+			float64(r.base) / float64(maxLife),
+			float64(r.prog) / float64(r.base)}
+		t.AddRow(append(cells, r.extra...)...)
 	}
-	return t
 }
 
 // fig12Lifetime runs one workload against one controller until total
@@ -75,19 +79,5 @@ func fig12Lifetime(o Options, name string, programmable bool, budget int) int64 
 	// preserved.
 	cfg.WearAcceleration = 20000
 	c := core.New(cfg)
-	var accesses int64
-	for i := 0; i < budget && !c.Dead(); i++ {
-		r := g.Next()
-		r.Expand(func(lba int64) {
-			accesses++
-			if r.Op == trace.OpWrite {
-				c.Write(lba)
-				return
-			}
-			if !c.Read(lba).Hit {
-				c.Insert(lba)
-			}
-		})
-	}
-	return accesses
+	return runToDeath(c, g, budget, func(r trace.Request) { serveFlash(c, r, nil) })
 }

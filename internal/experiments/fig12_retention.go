@@ -33,36 +33,15 @@ func fig12Retention(o Options) *Table {
 			o.Scale),
 		Header: []string{"workload", "programmable", "bch1", "norm_programmable", "norm_bch1", "lifetime_gain", "refresh_rewrites", "disturb_resets"},
 	}
-	budget := o.Requests
-	if budget == 0 {
-		budget = 8_000_000
-	}
-	type row struct {
-		name       string
-		prog, base int64
-		refreshes  int64
-		resets     int64
-	}
-	var rows []row
-	var maxLife int64 = 1
+	budget := o.budget(8_000_000)
+	var rows []lifetimeRow
 	for _, name := range fig12Workloads {
 		prog, st := fig12RetentionLifetime(o, name, true, budget)
 		base, _ := fig12RetentionLifetime(o, name, false, budget)
-		rows = append(rows, row{name, prog, base, st.RefreshRewrites, st.DisturbResets})
-		if prog > maxLife {
-			maxLife = prog
-		}
-		if base > maxLife {
-			maxLife = base
-		}
+		rows = append(rows, lifetimeRow{name, prog, base,
+			[]any{st.RefreshRewrites, st.DisturbResets}})
 	}
-	for _, r := range rows {
-		gain := float64(r.prog) / float64(r.base)
-		t.AddRow(r.name, r.prog, r.base,
-			float64(r.prog)/float64(maxLife),
-			float64(r.base)/float64(maxLife),
-			gain, r.refreshes, r.resets)
-	}
+	addLifetimeRows(t, rows)
 	return t
 }
 
@@ -89,20 +68,11 @@ func fig12RetentionLifetime(o Options, name string, programmable bool, budget in
 	c := core.New(cfg)
 	var clk sim.Clock
 	c.AttachClock(&clk)
-	var accesses int64
-	for i := 0; i < budget && !c.Dead(); i++ {
-		r := g.Next()
+	accesses := runToDeath(c, g, budget, func(r trace.Request) {
 		r.Expand(func(lba int64) {
-			accesses++
 			clk.Advance(fig12RetentionOpPeriod)
-			if r.Op == trace.OpWrite {
-				c.Write(lba)
-				return
-			}
-			if !c.Read(lba).Hit {
-				c.Insert(lba)
-			}
+			access(c, r.Op == trace.OpWrite, lba)
 		})
-	}
+	})
 	return accesses, c.Stats()
 }

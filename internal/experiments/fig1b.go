@@ -36,10 +36,7 @@ func fig1b(o Options) *Table {
 	if blocks < 64 {
 		blocks = 64 // keep the 95% point feasible with the GC reserve
 	}
-	writes := o.Requests
-	if writes == 0 {
-		writes = 100000
-	}
+	writes := o.budget(100000)
 	type point struct {
 		pct      float64
 		perWrite float64
@@ -102,10 +99,7 @@ func ssdVsCache(o Options) *Table {
 			o.Scale),
 		Header: []string{"occupancy_pct", "ftl_write_amp", "ftl_gc_us_per_write", "cache_gc_us_per_write"},
 	}
-	writes := o.Requests
-	if writes == 0 {
-		writes = 60000
-	}
+	writes := o.budget(60000)
 	blocks := nand.BlocksForCapacity(int64(float64(512<<20)*o.Scale), wear.SLC)
 	if blocks < 64 {
 		blocks = 64

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"flashdc/internal/core"
-	"flashdc/internal/trace"
 	"flashdc/internal/workload"
 )
 
@@ -22,10 +21,7 @@ func fig4(o Options) *Table {
 		Header: []string{"flash_size", "unified_miss", "split_miss", "improvement_pp"},
 	}
 	sizes := []int64{128 << 20, 256 << 20, 384 << 20, 512 << 20, 640 << 20}
-	requests := o.Requests
-	if requests == 0 {
-		requests = 150000
-	}
+	requests := o.budget(150000)
 	for _, size := range sizes {
 		unified := fig4Run(o, size, false, requests)
 		split := fig4Run(o, size, true, requests)
@@ -44,30 +40,6 @@ func fig4Run(o Options, flashBytes int64, split bool, requests int) float64 {
 	cfg.Seed = o.Seed
 	c := core.New(cfg)
 	g := workload.MustNew("dbt2", o.Scale, o.Seed+3)
-
-	warm := requests / 2
-	var reads, misses int64
-	for i := 0; i < requests; i++ {
-		r := g.Next()
-		r.Expand(func(lba int64) {
-			if r.Op == trace.OpWrite {
-				c.Write(lba)
-				return
-			}
-			out := c.Read(lba)
-			if i >= warm {
-				reads++
-				if !out.Hit {
-					misses++
-				}
-			}
-			if !out.Hit {
-				c.Insert(lba)
-			}
-		})
-	}
-	if reads == 0 {
-		return 0
-	}
-	return float64(misses) / float64(reads)
+	miss, _ := missRun(c, g, requests, requests/2)
+	return miss
 }

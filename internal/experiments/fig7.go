@@ -25,10 +25,7 @@ func fig7(o Options) *Table {
 			o.Scale),
 		Header: []string{"workload", "die_area_mm2", "area_vs_wss_pct", "latency_us", "optimal_slc_pct"},
 	}
-	requests := o.Requests
-	if requests == 0 {
-		requests = 300000
-	}
+	requests := o.budget(300000)
 	for _, name := range []string{"Financial2", "WebSearch1"} {
 		g := workload.MustNew(name, o.Scale, o.Seed+5)
 		counts := workload.PopularityCounts(g, requests)

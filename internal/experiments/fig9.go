@@ -5,7 +5,6 @@ import (
 
 	"flashdc/internal/hier"
 	"flashdc/internal/power"
-	"flashdc/internal/server"
 	"flashdc/internal/sim"
 	"flashdc/internal/workload"
 )
@@ -27,10 +26,7 @@ func fig9(o Options) *Table {
 		Header: []string{"benchmark", "config", "memRD_W", "memWR_W", "memIDLE_W",
 			"flash_W", "disk_W", "total_W", "norm_bandwidth"},
 	}
-	requests := o.Requests
-	if requests == 0 {
-		requests = 120000
-	}
+	requests := o.budget(120000)
 	cases := []struct {
 		bench      string
 		dramOnly   int64
@@ -83,40 +79,21 @@ func (r fig9Result) power(wall sim.Duration, requests int) power.Breakdown {
 	return r.sys.PowerWithAppTraffic(wall, int64(requests)*appDRAMAccessesPerRequest)
 }
 
-// fig9Run drives one configuration and derives bottleneck-aware
-// completion time: the run takes as long as its slowest resource — the
-// closed-loop CPU/latency limit, the (single) disk, or the Flash chip.
+// fig9Run drives one configuration and derives its bottleneck-aware
+// completion time.
 func fig9Run(o Options, bench string, dramBytes, flashBytes int64, requests int) fig9Result {
 	s := hier.New(hier.Config{
 		DRAMBytes:  int64(float64(dramBytes) * o.Scale),
 		FlashBytes: int64(float64(flashBytes) * o.Scale),
 		Seed:       o.Seed,
 	})
-	g := workload.MustNew(bench, o.Scale, o.Seed+7)
-	// Warm the caches thoroughly — the Flash tier only fills on PDC
-	// misses, so it converges slowly — then measure steady state.
-	for i := 0; i < 3*requests; i++ {
-		s.Handle(g.Next())
-	}
-	s.ResetStats()
-	for i := 0; i < requests; i++ {
-		s.Handle(g.Next())
-	}
-	s.Drain()
-	st := s.Stats()
-	elapsed := server.Default().Elapsed(st.Requests, st.AvgLatency())
-	if db := s.DiskBusy(); db > elapsed {
-		elapsed = db
-	}
-	if fb := s.FlashBusy(); fb > elapsed {
-		elapsed = fb
-	}
-	if elapsed <= 0 {
-		elapsed = sim.Duration(1)
-	}
+	// Warm thoroughly (three times the measured requests), then
+	// measure steady state.
+	warmMeasure(s, workload.MustNew(bench, o.Scale, o.Seed+7), 3*requests, requests)
+	elapsed := max(completionTime(s), 1)
 	return fig9Result{
 		sys:        s,
 		elapsed:    elapsed,
-		throughput: float64(st.Requests) / elapsed.Seconds(),
+		throughput: float64(s.Stats().Requests) / elapsed.Seconds(),
 	}
 }

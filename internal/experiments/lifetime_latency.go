@@ -33,10 +33,7 @@ func lifetimeLatency(o Options) *Table {
 	cfg.WearAcceleration = 20000
 	c := core.New(cfg)
 
-	budget := o.Requests
-	if budget == 0 {
-		budget = 4_000_000
-	}
+	budget := o.budget(4_000_000)
 
 	type epoch struct {
 		hitLat                  sim.Duration
@@ -55,28 +52,21 @@ func lifetimeLatency(o Options) *Table {
 	// Fine-grained sampling, merged into ten life buckets afterwards
 	// (total lifetime is unknown until the device dies).
 	const sample = 2000
-	i := 0
-	for ; i < budget && !c.Dead(); i++ {
-		r := g.Next()
-		r.Expand(func(lba int64) {
-			if r.Op == trace.OpWrite {
-				c.Write(lba)
-				return
-			}
-			out := c.Read(lba)
+	served := 0
+	runToDeath(c, g, budget, func(r trace.Request) {
+		serveFlash(c, r, func(out core.ReadOutcome) {
 			cur.reads++
 			if out.Hit {
 				cur.hits++
 				cur.hitLat += out.Latency
 			} else {
 				cur.misses++
-				c.Insert(lba)
 			}
 		})
-		if (i+1)%sample == 0 {
+		if served++; served%sample == 0 {
 			flush()
 		}
-	}
+	})
 	if cur.reads > 0 {
 		flush()
 	}

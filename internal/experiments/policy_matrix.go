@@ -42,10 +42,7 @@ func policyMatrix(o Options) *Table {
 		Header: []string{"combo", "evict", "admit", "gc", "hit_rate", "write_amp",
 			"erases", "admit_rejects", "write_arounds", "lifetime"},
 	}
-	budget := o.Requests
-	if budget == 0 {
-		budget = 400_000
-	}
+	budget := o.budget(400_000)
 	for _, combo := range policyCombos {
 		fid := policyFidelityRun(o, combo.set, budget)
 		life := policyLifetimeRun(o, combo.set, 10*budget)
@@ -77,9 +74,7 @@ type policyStats struct {
 // acceleration, and reports the traffic counters.
 func policyFidelityRun(o Options, ps policy.Set, budget int) policyStats {
 	c, g := policyCache(o, ps, 1)
-	for i := 0; i < budget && !c.Dead(); i++ {
-		policyStep(c, g.Next())
-	}
+	runToDeath(c, g, budget, func(r trace.Request) { policyStep(c, r) })
 	ds := c.DeviceStats()
 	return policyStats{Stats: c.Stats(), programs: ds.Programs, erases: ds.Erases}
 }
@@ -88,13 +83,7 @@ func policyFidelityRun(o Options, ps policy.Set, budget int) policyStats {
 // dies (or the budget runs out) and returns the accesses absorbed.
 func policyLifetimeRun(o Options, ps policy.Set, budget int) int64 {
 	c, g := policyCache(o, ps, policyWearAccel)
-	var accesses int64
-	for i := 0; i < budget && !c.Dead(); i++ {
-		r := g.Next()
-		r.Expand(func(int64) { accesses++ })
-		policyStep(c, r)
-	}
-	return accesses
+	return runToDeath(c, g, budget, func(r trace.Request) { policyStep(c, r) })
 }
 
 func policyCache(o Options, ps policy.Set, wearAccel float64) (*core.Cache, workload.Generator) {
@@ -106,17 +95,13 @@ func policyCache(o Options, ps policy.Set, wearAccel float64) (*core.Cache, work
 	return core.New(cfg), g
 }
 
+// policyStep applies the access rule to every page of r, skipping the
+// pages after the cache dies mid-request.
 func policyStep(c *core.Cache, r trace.Request) {
+	write := r.Op == trace.OpWrite
 	r.Expand(func(lba int64) {
-		if c.Dead() {
-			return
-		}
-		if r.Op == trace.OpWrite {
-			c.Write(lba)
-			return
-		}
-		if !c.Read(lba).Hit {
-			c.Insert(lba)
+		if !c.Dead() {
+			access(c, write, lba)
 		}
 	})
 }

@@ -35,10 +35,7 @@ func schedFeedback(o Options) *Table {
 		Note:   fmt.Sprintf("split cache, 64-write bursts through a 16-page write buffer alternating with 64 hot reads, %.4g scale of 256MB", o.Scale),
 		Header: []string{"channels", "feedback", "hit_pct", "bank_wait_ms", "forced_flushes", "p99_us", "p999_us", "gc_deferred", "throttle_flips"},
 	}
-	requests := o.Requests
-	if requests == 0 {
-		requests = 150000
-	}
+	requests := o.budget(150000)
 	for _, channels := range []int{1, 2, 4, 8} {
 		for _, feedback := range []bool{false, true} {
 			cfg := core.DefaultConfig(int64(float64(256<<20) * o.Scale))
@@ -65,11 +62,7 @@ func schedFeedback(o Options) *Table {
 			// refills during measurement always pass the admission filter.
 			for pass := 0; pass < 2; pass++ {
 				for lba := int64(0); lba < hot; lba++ {
-					out := c.Read(lba)
-					lat := out.Latency
-					if !out.Hit {
-						lat += c.Insert(lba)
-					}
+					_, lat := access(c, false, lba)
 					clock.Advance(lat + 10*sim.Microsecond)
 				}
 			}
@@ -94,13 +87,9 @@ func schedFeedback(o Options) *Table {
 				// channels and banks.
 				for i := 0; i < readLen; i++ {
 					reads++
-					lba := int64(rng.Uint64n(uint64(hot)))
-					out := c.Read(lba)
-					lat := out.Latency
+					out, lat := access(c, false, int64(rng.Uint64n(uint64(hot))))
 					if out.Hit {
 						hits++
-					} else {
-						lat += c.Insert(lba)
 					}
 					lats.Observe(lat)
 					clock.Advance(lat + 50*sim.Microsecond)

@@ -1,9 +1,23 @@
 package experiments
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// wallClockIDs are the experiments whose tables report host wall-clock
+// rates, so their cells differ from run to run; every other table is a
+// pure function of Options and is pinned byte for byte by a golden.
+var wallClockIDs = map[string]bool{"ecc-throughput": true, "batch_throughput": true}
+
+// goldenPath is where the quick-scale rendering of a deterministic
+// experiment is pinned.
+func goldenPath(id string) string { return filepath.Join("testdata", id+".golden") }
 
 // TestAllExperimentsQuick executes every registered experiment at the
-// quick scale and sanity-checks the output tables.
+// quick scale, sanity-checks the output tables and compares each
+// deterministic table's rendering with its golden under testdata/.
 func TestAllExperimentsQuick(t *testing.T) {
 	for _, id := range IDs() {
 		id := id
@@ -20,8 +34,19 @@ func TestAllExperimentsQuick(t *testing.T) {
 					t.Fatalf("%s: row width %d != header %d", id, len(row), len(tab.Header))
 				}
 			}
-			if tab.String() == "" {
+			got := tab.String()
+			if got == "" {
 				t.Fatal("empty rendering")
+			}
+			if wallClockIDs[id] {
+				return
+			}
+			want, err := os.ReadFile(goldenPath(id))
+			if err != nil {
+				t.Fatalf("no golden for deterministic experiment %s: %v", id, err)
+			}
+			if got != string(want) {
+				t.Fatalf("%s drifted from %s\n--- got\n%s--- want\n%s", id, goldenPath(id), got, want)
 			}
 		})
 	}

@@ -169,9 +169,12 @@ func (o *Observer) Finish() {
 	o.publish(s)
 }
 
+// publish makes s the live snapshot. It stores s itself, not a copy: a
+// snapshot never changes once Registry.Snapshot returns it, because
+// everything that folds snapshots together (MergeSnapshots, Handler)
+// clones before it merges.
 func (o *Observer) publish(s Snapshot) {
-	c := s.Clone()
-	o.live.Store(&c)
+	o.live.Store(&s)
 }
 
 // Live returns the most recently completed snapshot, or nil before the
