@@ -66,6 +66,7 @@ import (
 	"strings"
 
 	"flashdc/internal/core"
+	"flashdc/internal/dram"
 	"flashdc/internal/engine"
 	"flashdc/internal/fault"
 	"flashdc/internal/hier"
@@ -232,7 +233,7 @@ func main() {
 	// Validate the whole flag set up front: every rejection below is a
 	// usage error reported before any simulation state is built, so a
 	// mistyped multi-hour campaign fails in milliseconds.
-	dram, err := parseSize(*dramSize)
+	dramBytes, err := parseSize(*dramSize)
 	if err != nil {
 		usageErr("-dram: %v", err)
 	}
@@ -260,6 +261,13 @@ func main() {
 		usageErr("-shards %d: need at least one shard", *shards)
 	case *workers < 0:
 		usageErr("-workers %d is negative", *workers)
+	case flash < 0:
+		usageErr("-flash %d is negative (0 disables Flash)", flash)
+	// The engine's per-shard floors: one DRAM page, and 4 Flash blocks.
+	case dramBytes/int64(*shards) < dram.PageSize:
+		usageErr("-dram %d leaves less than one %d-byte page per shard", dramBytes, dram.PageSize)
+	case flash > 0 && flash/int64(*shards) < 4*nand.SlotsPerBlock*core.PageSize:
+		usageErr("-flash %d leaves less than 4 blocks per shard", flash)
 	case *wearAccel < 0:
 		usageErr("-wear-accel %g is negative", *wearAccel)
 	case *retentionAccel < 0:
@@ -280,8 +288,8 @@ func main() {
 		usageErr("-metrics-interval %v is negative", *metricsIvl)
 	case *traceFile != "" && *traceBinary != "":
 		usageErr("-trace and -trace-binary are mutually exclusive")
-	case *traceFile == "" && *traceBinary == "" && !(*scale > 0):
-		usageErr("-scale %g: generated workloads need a positive footprint scale", *scale)
+	case *traceFile == "" && *traceBinary == "" && !(*scale > 0 && *scale <= 1):
+		usageErr("-scale %g: generated workloads need a footprint scale in (0,1]", *scale)
 	case flash == 0 && (*retentionAccel > 0 || *disturbReads > 0):
 		usageErr("-retention-accel/-disturb-reads model Flash reliability; -flash 0 builds no Flash tier")
 	case (*checkpointIn != "" || *checkpointOut != "") && (*traceFile != "" || *traceBinary != ""):
@@ -347,7 +355,7 @@ func main() {
 		obsOpts.MetricsInterval = 100 * sim.Millisecond
 	}
 
-	cfg := hier.Config{DRAMBytes: dram, FlashBytes: flash, Seed: *seed}
+	cfg := hier.Config{DRAMBytes: dramBytes, FlashBytes: flash, Seed: *seed}
 	if flash > 0 {
 		cfg.Flash = fc
 	}
@@ -359,7 +367,7 @@ func main() {
 		"workload=%s scale=%g dram=%d flash=%d seed=%d unified=%v programmable=%v "+
 			"wear-accel=%g faults=%q scrub=%d shards=%d "+
 			"retention-accel=%g disturb-reads=%g refresh-threshold=%g",
-		*workloadName, *scale, dram, flash, *seed, *unified, !*noProg,
+		*workloadName, *scale, dramBytes, flash, *seed, *unified, !*noProg,
 		*wearAccel, *faultSpec, *scrubEvery, *shards,
 		*retentionAccel, *disturbReads, *refreshThresh)
 	if !pset.IsDefault() {

@@ -232,3 +232,49 @@ func FuzzKernelLockstep(f *testing.F) {
 		}
 	})
 }
+
+// pageCode is the 2KB-page BCH-8 code over GF(2^15), with one random
+// page of data.
+func pageCode(t *testing.T) (*Code, []byte) {
+	t.Helper()
+	c, err := New(15, 8, 2048*8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, randomData(sim.NewRNG(1), c)
+}
+
+// TestAppendParityAllocFree pins the table-driven encoder at 0
+// allocations when dst has room for the parity.
+func TestAppendParityAllocFree(t *testing.T) {
+	c, data := pageCode(t)
+	dst := make([]byte, 0, c.ParityBytes())
+	if allocs := testing.AllocsPerRun(100, func() {
+		dst = c.AppendParity(dst[:0], data)
+	}); allocs != 0 {
+		t.Fatalf("AppendParity: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestDecodeAllocFree pins the decoder at 0 allocations on a page
+// carrying 8 bit errors. The page is corrupted once, outside the
+// measured closure, and copied back before each decode.
+func TestDecodeAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race makes sync.Pool drop the decode scratch at random")
+	}
+	c, clean := pageCode(t)
+	bad, badParity := bytes.Clone(clean), c.Encode(clean)
+	corruptBits(sim.NewRNG(2), bad, badParity, 8, c.DataBits(), c.ParityBits())
+	data, parity := make([]byte, len(bad)), make([]byte, len(badParity))
+	if allocs := testing.AllocsPerRun(100, func() {
+		copy(data, bad)
+		copy(parity, badParity)
+		res, err := c.Decode(data, parity)
+		if err != nil || res.Corrected != 8 {
+			t.Fatalf("Decode = %+v, %v; want 8 corrected", res, err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Decode with 8 errors: %v allocs/op, want 0", allocs)
+	}
+}

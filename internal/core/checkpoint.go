@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"flashdc/internal/ecc"
@@ -174,10 +175,23 @@ func (c *Cache) snapshot() (*CacheCheckpoint, error) {
 // receiver untouched.
 func (c *Cache) Restore(ck *CacheCheckpoint) error {
 	if c.sched.Active() {
-		return fmt.Errorf("core: restoring into a non-default NAND scheduler (channels/banks/write buffer) is not supported")
+		return errSchedRestore
 	}
 	return c.restore(ck)
 }
+
+// ValidateCheckpoint reports whether Restore would accept ck, without
+// applying any of it. A multi-part restore (every tier of every shard)
+// validates all its parts first, so that a refusal changes nothing.
+func (c *Cache) ValidateCheckpoint(ck *CacheCheckpoint) error {
+	if c.sched.Active() {
+		return errSchedRestore
+	}
+	_, err := c.validate(ck)
+	return err
+}
+
+var errSchedRestore = errors.New("core: restoring into a non-default NAND scheduler (channels/banks/write buffer) is not supported")
 
 // restore is Restore at any scheduler geometry, the shared tail of
 // Restore and LoadMetadata: validate everything, then apply.
@@ -186,20 +200,13 @@ func (c *Cache) restore(ck *CacheCheckpoint) error {
 	if err != nil {
 		return err
 	}
-	// The injector and the admission filter each restore atomically;
-	// the injector is put back if the filter then refuses its state.
-	inj := c.dev.FaultInjector()
-	prev := inj.Checkpoint()
-	if inj != nil {
+	if inj := c.dev.FaultInjector(); inj != nil {
 		if err := inj.Restore(ck.Injector); err != nil {
-			return fmt.Errorf("core: restoring fault injector: %w", err)
+			panic("core: internal: validated injector state refused: " + err.Error())
 		}
 	}
 	if err := c.admitPol.restore(ck.AdmitState); err != nil {
-		if inj != nil {
-			_ = inj.Restore(prev) // its own state: cannot be refused
-		}
-		return fmt.Errorf("core: restoring admission policy state: %w", err)
+		panic("core: internal: validated admission state refused: " + err.Error())
 	}
 	if err := c.dev.Restore(ck.Device); err != nil {
 		panic("core: internal: validated device checkpoint refused: " + err.Error())
@@ -277,6 +284,17 @@ func (c *Cache) validate(ck *CacheCheckpoint) (*tables.FCHT, error) {
 	}
 	if inj := c.dev.FaultInjector(); ck.HasInjector != (inj != nil) {
 		return nil, fmt.Errorf("core: checkpoint injector presence %v, config says %v", ck.HasInjector, inj != nil)
+	}
+	// The injector and the admission policy refuse some states of their
+	// own: dry-run both on scratch instances, so applying cannot fail.
+	if ck.HasInjector {
+		if err := new(sim.RNG).SetState(ck.Injector.RNG); err != nil {
+			return nil, fmt.Errorf("core: fault injector state: %w", err)
+		}
+	}
+	_, admit, _ := newPolicies(c, c.cfg.Policies)
+	if err := admit.restore(ck.AdmitState); err != nil {
+		return nil, fmt.Errorf("core: admission policy state: %w", err)
 	}
 	if ck.ScrubBlock < 0 || ck.ScrubBlock > blocks || ck.ScrubSlot < 0 || ck.ScrubSlot >= nand.SlotsPerBlock ||
 		ck.ScrubSub < 0 || ck.ScrubSub > 1 {

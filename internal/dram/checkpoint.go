@@ -32,12 +32,10 @@ func (c *Cache) Checkpoint() []PageState {
 	return out
 }
 
-// Restore replaces the cache contents with the checkpointed pages
-// (MRU-first, as Checkpoint produced them) and the checkpointed
-// activity counters. The cache keeps its capacity and policy; pages
-// beyond the capacity or duplicated LBAs reject the whole restore
-// before any state changes.
-func (c *Cache) Restore(pages []PageState, stats Stats) error {
+// ValidateCheckpoint reports whether Restore would accept pages,
+// without changing the cache: pages beyond the capacity or duplicated
+// LBAs are refused.
+func (c *Cache) ValidateCheckpoint(pages []PageState) error {
 	if len(pages) > c.capacity {
 		return fmt.Errorf("dram: checkpoint holds %d pages, cache fits %d", len(pages), c.capacity)
 	}
@@ -47,6 +45,18 @@ func (c *Cache) Restore(pages []PageState, stats Stats) error {
 			return fmt.Errorf("dram: checkpoint caches LBA %d twice", p.LBA)
 		}
 		seen[p.LBA] = true
+	}
+	return nil
+}
+
+// Restore replaces the cache contents with the checkpointed pages
+// (MRU-first, as Checkpoint produced them) and the checkpointed
+// activity counters. The cache keeps its capacity and policy; a
+// checkpoint ValidateCheckpoint refuses is rejected before any state
+// changes.
+func (c *Cache) Restore(pages []PageState, stats Stats) error {
+	if err := c.ValidateCheckpoint(pages); err != nil {
+		return err
 	}
 	c.nodes = c.nodes[:0]
 	c.free = c.free[:0]

@@ -62,11 +62,18 @@ func (e *Engine) Checkpoint(fingerprint string, consumed int64) (*Checkpoint, er
 }
 
 // Restore overwrites a freshly built engine (same Config) with a
-// checkpoint of the same shard width.
+// checkpoint of the same shard width. Every shard's state is
+// validated before any shard is restored, so a refused checkpoint
+// leaves the engine untouched.
 func (e *Engine) Restore(ck *Checkpoint) error {
 	if ck.Shards != len(e.shards) || len(ck.Systems) != len(e.shards) {
 		return fmt.Errorf("engine: checkpoint for %d shards (%d states), engine has %d",
 			ck.Shards, len(ck.Systems), len(e.shards))
+	}
+	for i, sh := range e.shards {
+		if err := sh.sys.ValidateCheckpoint(&ck.Systems[i]); err != nil {
+			return fmt.Errorf("engine: shard %d: %w", i, err)
+		}
 	}
 	for i, sh := range e.shards {
 		if err := sh.sys.Restore(&ck.Systems[i]); err != nil {

@@ -32,8 +32,9 @@ func fdckEnvelope(payload []byte) []byte {
 
 // FuzzRestoreCheckpoint asserts the campaign-restore contract over
 // arbitrary checkpoint payloads: reading and restoring never panics,
-// and a checkpoint the engine accepts passes the integrity audit and
-// keeps serving requests. The seeds are a real 2-shard checkpoint with
+// a checkpoint the engine rejects leaves its state byte-identical, and
+// a checkpoint it accepts passes the integrity audit and keeps serving
+// requests. The seeds are a real 2-shard checkpoint with
 // faults, scrub, retention and disturb in flight, plus truncations.
 func FuzzRestoreCheckpoint(f *testing.F) {
 	hc := fuzzHier()
@@ -66,7 +67,11 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		before := checkpointBytes(t, e, "fp", 0)
 		if err := e.Restore(ck); err != nil {
+			if after := checkpointBytes(t, e, "fp", 0); !bytes.Equal(after, before) {
+				t.Fatalf("rejected checkpoint (%v) changed the engine's state", err)
+			}
 			return
 		}
 		if err := e.CheckIntegrity(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"flashdc/internal/core"
@@ -177,5 +178,47 @@ func TestEngineRestoreRejectsMismatch(t *testing.T) {
 	}
 	if _, err := ReadCheckpoint(bytes.NewReader(wire[:8])); !errors.Is(err, ErrCorruptCheckpoint) {
 		t.Fatalf("truncated checkpoint read reported %v, want ErrCorruptCheckpoint", err)
+	}
+}
+
+// TestEngineRestoreIsAtomic: a checkpoint whose second shard is
+// corrupt in any tier is refused before the first shard is touched,
+// so the engine's own checkpoint bytes are unchanged.
+func TestEngineRestoreIsAtomic(t *testing.T) {
+	hc := campaignHier(8)
+	src, err := New(Config{Shards: 2, Hier: hc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(src, campaignReqs(4, 3000))
+	wire := checkpointBytes(t, src, "fp", 3000)
+
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*hier.SystemCheckpoint)
+	}{
+		{"latency total", func(s *hier.SystemCheckpoint) { s.Latencies.Total++ }},
+		{"duplicate PDC LBA", func(s *hier.SystemCheckpoint) { s.PDC[1].LBA = s.PDC[0].LBA }},
+		{"flash block state", func(s *hier.SystemCheckpoint) { s.Flash.Blocks[0].State = 0xff }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ck, err := ReadCheckpoint(bytes.NewReader(wire))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(&ck.Systems[1])
+			e, err := New(Config{Shards: 2, Hier: hc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := checkpointBytes(t, e, "fp", 0)
+			err = e.Restore(ck)
+			if err == nil || !strings.Contains(err.Error(), "shard 1") {
+				t.Fatalf("Restore = %v, want a shard 1 refusal", err)
+			}
+			if after := checkpointBytes(t, e, "fp", 0); !bytes.Equal(after, before) {
+				t.Fatalf("refused restore (%v) changed the engine's checkpoint", err)
+			}
+		})
 	}
 }

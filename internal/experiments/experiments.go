@@ -32,9 +32,6 @@ type Options struct {
 // capacity ratios.
 func DefaultOptions() Options { return Options{Seed: 1, Scale: 1.0 / 16} }
 
-// QuickOptions is the test/bench scale.
-func QuickOptions() Options { return Options{Seed: 1, Scale: 1.0 / 128} }
-
 func (o Options) normalized() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -185,13 +182,4 @@ func Run(id string, o Options) (*Table, error) {
 			id, strings.Join(IDs(), ", "))
 	}
 	return r(o.normalized()), nil
-}
-
-// MustRun is Run for known-good IDs.
-func MustRun(id string, o Options) *Table {
-	t, err := Run(id, o)
-	if err != nil {
-		panic(err)
-	}
-	return t
 }

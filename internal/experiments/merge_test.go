@@ -6,10 +6,10 @@ import (
 )
 
 func TestRunSeedsValidation(t *testing.T) {
-	if _, err := RunSeeds("fig6a", QuickOptions(), 0); err == nil {
+	if _, err := RunSeeds("fig6a", quickOptions(), 0); err == nil {
 		t.Fatal("zero seeds accepted")
 	}
-	if _, err := RunSeeds("nope", QuickOptions(), 1); err == nil {
+	if _, err := RunSeeds("nope", quickOptions(), 1); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
@@ -17,7 +17,7 @@ func TestRunSeedsValidation(t *testing.T) {
 func TestRunSeedsDeterministicExperimentCollapses(t *testing.T) {
 	// fig6a is analytic: identical under every seed, so merged cells
 	// must carry no error bars.
-	tab, err := RunSeeds("fig6a", QuickOptions(), 3)
+	tab, err := RunSeeds("fig6a", quickOptions(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestRunSeedsDeterministicExperimentCollapses(t *testing.T) {
 }
 
 func TestRunSeedsNoisyExperimentGetsErrorBars(t *testing.T) {
-	o := QuickOptions()
+	o := quickOptions()
 	o.Requests = 30000
 	tab, err := RunSeeds("fig4", o, 3)
 	if err != nil {

@@ -66,7 +66,7 @@ func TestDefaultChartColumn(t *testing.T) {
 }
 
 func TestChartOnRealExperiment(t *testing.T) {
-	tab := MustRun("fig6b", QuickOptions())
+	tab := mustRun("fig6b", quickOptions())
 	out := tab.Chart(1, 40)
 	if !strings.Contains(out, "#") || !strings.Contains(out, "fig6b") {
 		t.Fatalf("real chart broken: %q", out)

@@ -19,7 +19,7 @@ func cell(t *testing.T, tab *Table, row, col int) float64 {
 }
 
 func TestFig1bShape(t *testing.T) {
-	tab := MustRun("fig1b", QuickOptions())
+	tab := mustRun("fig1b", quickOptions())
 	// Normalized overhead strictly increasing, explosive at the top.
 	prev := 0.0
 	for r := range tab.Rows {
@@ -35,9 +35,9 @@ func TestFig1bShape(t *testing.T) {
 }
 
 func TestFig4Shape(t *testing.T) {
-	o := QuickOptions()
+	o := quickOptions()
 	o.Requests = 120000
-	tab := MustRun("fig4", o)
+	tab := mustRun("fig4", o)
 	// The split cache must win at the larger sizes and the gap must
 	// grow with cache size overall.
 	n := len(tab.Rows)
@@ -57,7 +57,7 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestFig6aShape(t *testing.T) {
-	tab := MustRun("fig6a", QuickOptions())
+	tab := mustRun("fig6a", quickOptions())
 	prev := 0.0
 	for r := range tab.Rows {
 		total := cell(t, tab, r, 4)
@@ -82,7 +82,7 @@ func TestFig6aShape(t *testing.T) {
 }
 
 func TestFig6bShape(t *testing.T) {
-	tab := MustRun("fig6b", QuickOptions())
+	tab := mustRun("fig6b", quickOptions())
 	// Row 0 is t=0: all spreads anchored at 1e5.
 	for col := 1; col <= 4; col++ {
 		if v := cell(t, tab, 0, col); v < 0.99e5 || v > 1.01e5 {
@@ -105,9 +105,9 @@ func TestFig6bShape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	o := QuickOptions()
+	o := quickOptions()
 	o.Requests = 60000
-	tab := MustRun("fig7", o)
+	tab := mustRun("fig7", o)
 	// Latency must fall as die area grows, per workload.
 	byWorkload := map[string][][]string{}
 	for _, row := range tab.Rows {
@@ -138,9 +138,9 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	o := QuickOptions()
+	o := quickOptions()
 	o.Requests = 40000
-	tab := MustRun("fig9", o)
+	tab := mustRun("fig9", o)
 	if len(tab.Rows) != 4 {
 		t.Fatalf("fig9 rows = %d", len(tab.Rows))
 	}
@@ -162,9 +162,9 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	o := QuickOptions()
+	o := quickOptions()
 	o.Requests = 30000
-	tab := MustRun("fig10", o)
+	tab := mustRun("fig10", o)
 	// Bandwidth degrades monotonically (within noise) and gracefully:
 	// under 10% at the t=12 hardware limit.
 	for _, col := range []int{1, 2} {
@@ -186,9 +186,9 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestFig11Shape(t *testing.T) {
-	o := QuickOptions()
+	o := quickOptions()
 	o.Requests = 150000
-	tab := MustRun("fig11", o)
+	tab := mustRun("fig11", o)
 	pct := map[string]float64{}
 	for _, row := range tab.Rows {
 		v, _ := strconv.ParseFloat(row[3], 64)
@@ -212,9 +212,9 @@ func TestFig11Shape(t *testing.T) {
 }
 
 func TestFig12Shape(t *testing.T) {
-	o := QuickOptions()
+	o := quickOptions()
 	o.Requests = 2_000_000
-	tab := MustRun("fig12", o)
+	tab := mustRun("fig12", o)
 	for _, row := range tab.Rows {
 		gain, _ := strconv.ParseFloat(row[5], 64)
 		if gain <= 1.5 {
@@ -224,7 +224,7 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestSSDvsCacheShape(t *testing.T) {
-	tab := MustRun("ssd-vs-cache", QuickOptions())
+	tab := mustRun("ssd-vs-cache", quickOptions())
 	n := len(tab.Rows)
 	// FTL write amplification grows with occupancy; the cache's GC
 	// cost must not explode the same way.
@@ -240,9 +240,9 @@ func TestSSDvsCacheShape(t *testing.T) {
 }
 
 func TestAblateSplitShape(t *testing.T) {
-	o := QuickOptions()
+	o := quickOptions()
 	o.Requests = 100000
-	tab := MustRun("ablate-split", o)
+	tab := mustRun("ablate-split", o)
 	// The unified row (last) must be the worst configuration.
 	n := len(tab.Rows)
 	unified := cell(t, tab, n-1, 1)
@@ -254,9 +254,9 @@ func TestAblateSplitShape(t *testing.T) {
 }
 
 func TestAblateWearShape(t *testing.T) {
-	o := QuickOptions()
+	o := quickOptions()
 	o.Requests = 100000
-	tab := MustRun("ablate-wear", o)
+	tab := mustRun("ablate-wear", o)
 	// Aggressive threshold: swaps occur and the spread shrinks vs off.
 	firstSwaps := cell(t, tab, 0, 1)
 	firstSpread := cell(t, tab, 0, 4)
@@ -270,9 +270,9 @@ func TestAblateWearShape(t *testing.T) {
 }
 
 func TestLifetimeLatencyShape(t *testing.T) {
-	o := QuickOptions()
+	o := quickOptions()
 	o.Requests = 2_000_000
-	tab := MustRun("lifetime-latency", o)
+	tab := mustRun("lifetime-latency", o)
 	if len(tab.Rows) < 3 {
 		t.Fatalf("only %d life epochs observed", len(tab.Rows))
 	}
@@ -298,9 +298,9 @@ func TestLifetimeLatencyShape(t *testing.T) {
 }
 
 func TestAblateAreaShape(t *testing.T) {
-	o := QuickOptions()
+	o := quickOptions()
 	o.Requests = 50000
-	tab := MustRun("ablate-area", o)
+	tab := mustRun("ablate-area", o)
 	// Spending area on Flash must beat the all-DRAM split on latency
 	// (and not collapse bandwidth) somewhere in the sweep. Memory
 	// power also drops at realistic scales, but at the tiny quick
@@ -330,9 +330,9 @@ func TestAblateAreaShape(t *testing.T) {
 }
 
 func TestAblateReadaheadShape(t *testing.T) {
-	o := QuickOptions()
+	o := quickOptions()
 	o.Requests = 40000
-	tab := MustRun("ablate-readahead", o)
+	tab := mustRun("ablate-readahead", o)
 	// Deeper readahead cuts average latency on the web workload.
 	if off, deep := cell(t, tab, 0, 1), cell(t, tab, len(tab.Rows)-1, 1); deep >= off {
 		t.Fatalf("readahead did not help: %v -> %v us", off, deep)
@@ -343,9 +343,9 @@ func TestAblateReadaheadShape(t *testing.T) {
 }
 
 func TestLoadSweepShape(t *testing.T) {
-	o := QuickOptions()
+	o := quickOptions()
 	o.Requests = 30000
-	tab := MustRun("load-sweep", o)
+	tab := mustRun("load-sweep", o)
 	for r := range tab.Rows {
 		if cell(t, tab, r, 2) >= cell(t, tab, r, 1) {
 			t.Fatalf("flash system not cheaper at load row %d", r)
@@ -360,9 +360,9 @@ func TestLoadSweepShape(t *testing.T) {
 }
 
 func TestAblateChannelsShape(t *testing.T) {
-	o := QuickOptions()
+	o := quickOptions()
 	o.Requests = 5000
-	tab := MustRun("ablate-channels", o)
+	tab := mustRun("ablate-channels", o)
 	// Near-linear scaling: 8 channels at least 6x one channel.
 	last := cell(t, tab, len(tab.Rows)-1, 3)
 	if last < 6 {
@@ -379,7 +379,7 @@ func TestAblateChannelsShape(t *testing.T) {
 }
 
 func TestEccThroughputShape(t *testing.T) {
-	tab := MustRun("ecc-throughput", QuickOptions())
+	tab := mustRun("ecc-throughput", quickOptions())
 	if len(tab.Rows) != 12 {
 		t.Fatalf("expected strengths 1..12, got %d rows", len(tab.Rows))
 	}
@@ -407,9 +407,9 @@ func TestEccThroughputShape(t *testing.T) {
 }
 
 func TestGCContentionShape(t *testing.T) {
-	o := QuickOptions()
+	o := quickOptions()
 	o.Requests = 60000
-	tab := MustRun("gc-contention", o)
+	tab := mustRun("gc-contention", o)
 	off := cell(t, tab, 0, 1)
 	on := cell(t, tab, 1, 1)
 	if on <= off {

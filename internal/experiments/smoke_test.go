@@ -11,6 +11,18 @@ import (
 // pure function of Options and is pinned byte for byte by a golden.
 var wallClockIDs = map[string]bool{"ecc-throughput": true, "batch_throughput": true}
 
+// quickOptions is the test scale.
+func quickOptions() Options { return Options{Seed: 1, Scale: 1.0 / 128} }
+
+// mustRun is Run for known-good IDs.
+func mustRun(id string, o Options) *Table {
+	t, err := Run(id, o)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
 // goldenPath is where the quick-scale rendering of a deterministic
 // experiment is pinned.
 func goldenPath(id string) string { return filepath.Join("testdata", id+".golden") }
@@ -22,7 +34,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			tab := MustRun(id, QuickOptions())
+			tab := mustRun(id, quickOptions())
 			if tab.ID != id {
 				t.Fatalf("table ID %q, want %q", tab.ID, id)
 			}

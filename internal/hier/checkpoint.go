@@ -61,10 +61,10 @@ func (s *System) Checkpoint() (*SystemCheckpoint, error) {
 	return ck, nil
 }
 
-// Restore overwrites a freshly assembled hierarchy (same Config) with
-// a checkpoint. The clock advances first so every component restoring
-// clock-relative state sees resumed time.
-func (s *System) Restore(ck *SystemCheckpoint) error {
+// ValidateCheckpoint reports whether Restore would accept ck, without
+// applying any of it. The engine runs it on every shard before it
+// restores any, so a refused checkpoint leaves every shard untouched.
+func (s *System) ValidateCheckpoint(ck *SystemCheckpoint) error {
 	if s.bypassErr != nil {
 		return fmt.Errorf("hier: cannot restore onto a bypassed Flash tier: %w", s.flashLoadErr)
 	}
@@ -74,6 +74,26 @@ func (s *System) Restore(ck *SystemCheckpoint) error {
 	}
 	if len(ck.Tiers) != len(s.tiers) {
 		return fmt.Errorf("hier: checkpoint has %d tiers, system has %d", len(ck.Tiers), len(s.tiers))
+	}
+	if err := s.pdc.ValidateCheckpoint(ck.PDC); err != nil {
+		return err
+	}
+	if err := new(sim.Histogram).SetState(ck.Latencies); err != nil { // a dry run
+		return err
+	}
+	if s.flash != nil {
+		return s.flash.ValidateCheckpoint(ck.Flash)
+	}
+	return nil
+}
+
+// Restore overwrites a freshly assembled hierarchy (same Config) with
+// a checkpoint, validated first so that a refusal changes nothing. The
+// clock advances first so every component restoring clock-relative
+// state sees resumed time.
+func (s *System) Restore(ck *SystemCheckpoint) error {
+	if err := s.ValidateCheckpoint(ck); err != nil {
+		return err
 	}
 	s.clock.AdvanceTo(ck.Now)
 	if err := s.pdc.Restore(ck.PDC, ck.PDCStats); err != nil {

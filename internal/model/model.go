@@ -209,13 +209,6 @@ func (m *Model) mayBeInFlash(lba int64) bool {
 	return ok
 }
 
-// MustNotBeCached reports whether lba must be invalid in every cache
-// tier: the model never let it into DRAM or Flash, so a cache hit on
-// it means the system invented data.
-func (m *Model) MustNotBeCached(lba int64) bool {
-	return !m.InDRAM(lba) && !m.mayBeInFlash(lba)
-}
-
 // Check diffs the real system's full state against the model: the
 // system's own cross-table audit, exact DRAM agreement (population,
 // recency order, and dirty bits), and Flash residency containment in

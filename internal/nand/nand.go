@@ -340,10 +340,6 @@ func (d *Device) Blocks() int { return len(d.blocks) }
 // Stats returns a copy of the operation counters.
 func (d *Device) Stats() Stats { return d.stats }
 
-// WearModel exposes the underlying reliability model (shared with the
-// controller's reconfiguration logic).
-func (d *Device) WearModel() *wear.Model { return d.model }
-
 func (d *Device) slot(a Addr) (*blockState, *slotState, error) {
 	if a.Block < 0 || a.Block >= len(d.blocks) || a.Slot < 0 || a.Slot >= SlotsPerBlock {
 		return nil, nil, fmt.Errorf("%w: %v", ErrBadAddress, a)
