@@ -3,6 +3,7 @@ package flashdc
 import (
 	"testing"
 
+	"flashdc/internal/sim"
 	"flashdc/internal/trace"
 )
 
@@ -33,8 +34,27 @@ func TestCacheReadHitAllocFree(t *testing.T) {
 // Flash and disk models at 0 allocations once the caches are warm.
 // The stream is generated up front, so only Handle is measured.
 func TestSystemHandleAllocFree(t *testing.T) {
-	const warm, runs = 20000, 1000
-	s := NewSystem(SystemConfig{DRAMBytes: 1 << 20, FlashBytes: 16 << 20, Seed: 1})
+	checkHandleAllocFree(t, SystemConfig{DRAMBytes: 1 << 20, FlashBytes: 16 << 20, Seed: 1}, 1000)
+}
+
+// TestSystemHandleObservedAllocFree is the same gate with metrics on
+// and a 1 ms snapshot interval, which takes a snapshot every few
+// requests: each snapshot is a row carved from the observer's arena,
+// so the observed path stays allocation-free too.
+func TestSystemHandleObservedAllocFree(t *testing.T) {
+	o := NewObserver(ObsOptions{Metrics: true, MetricsInterval: sim.Millisecond})
+	checkHandleAllocFree(t, SystemConfig{DRAMBytes: 1 << 20, FlashBytes: 16 << 20, Seed: 1, Observer: o}, 20000)
+	if n := len(o.Snapshots()); n < 1000 {
+		t.Fatalf("only %d snapshots taken; the gate must cover the snapshot path", n)
+	}
+}
+
+// checkHandleAllocFree warms a system on 20k dbt2 requests and then
+// requires 0 allocations per Handle over runs more.
+func checkHandleAllocFree(t *testing.T, cfg SystemConfig, runs int) {
+	t.Helper()
+	const warm = 20000
+	s := NewSystem(cfg)
 	g, err := NewWorkload("dbt2", 0.01, 1)
 	if err != nil {
 		t.Fatal(err)

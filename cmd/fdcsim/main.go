@@ -26,7 +26,8 @@
 // simulated time, so for a fixed (seed, shards) pair the JSONL output
 // is byte-identical at any -workers count. -metrics-interval is a span
 // of *simulated* time between cumulative snapshots (0 = only the final
-// snapshot); -trace-events records management decisions (GC, wear
+// snapshot; a cadence needs -metrics-out or -http to read the
+// snapshots); -trace-events records management decisions (GC, wear
 // rotation, ECC/density reconfiguration, retirement, read retries,
 // scrubbing, shard merges) into a bounded ring of -trace-cap events.
 //
@@ -286,6 +287,8 @@ func main() {
 		usageErr("-trace-cap %d is negative", *traceCap)
 	case *metricsIvl < 0:
 		usageErr("-metrics-interval %v is negative", *metricsIvl)
+	case *metricsIvl > 0 && *metricsOut == "" && *httpAddr == "":
+		usageErr("-metrics-interval %v sets a snapshot cadence, but nothing reads the snapshots; add -metrics-out or -http", *metricsIvl)
 	case *traceFile != "" && *traceBinary != "":
 		usageErr("-trace and -trace-binary are mutually exclusive")
 	case *traceFile == "" && *traceBinary == "" && !(*scale > 0 && *scale <= 1):

@@ -160,7 +160,7 @@ type System struct {
 	// tierNames holds the precomputed per-level metric names and
 	// latProfile the reusable latency-rebucketing scratch, so collect
 	// builds no strings and no bucket slices per snapshot (Sample
-	// clones what it keeps).
+	// copies the buckets into its row).
 	tierNames  []tierMetricNames
 	latProfile obs.HistogramSnapshot
 	// lastRead and streak detect sequential read runs for readahead.

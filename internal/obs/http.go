@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 )
 
@@ -17,50 +16,29 @@ func WritePrometheus(w io.Writer, s *Snapshot) error {
 		_, err := fmt.Fprint(w, "# no snapshot taken yet\n")
 		return err
 	}
-	names := make([]string, 0, len(s.Counters))
-	for name := range s.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, s.Counters[name]); err != nil {
-			return err
+	var err error
+	printf := func(format string, args ...any) {
+		if err == nil {
+			_, err = fmt.Fprintf(w, format, args...)
 		}
 	}
-	names = names[:0]
-	for name := range s.Gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", name, name,
-			strconv.FormatFloat(s.Gauges[name], 'g', -1, 64)); err != nil {
-			return err
-		}
-	}
-	names = names[:0]
-	for name := range s.Histograms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		h := s.Histograms[name]
-		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
-			return err
-		}
+	s.EachCounter(func(name string, v int64) {
+		printf("# TYPE %s counter\n%s %d\n", name, name, v)
+	})
+	s.EachGauge(func(name string, v float64) {
+		printf("# TYPE %s gauge\n%s %s\n", name, name, strconv.FormatFloat(v, 'g', -1, 64))
+	})
+	s.EachHistogram(func(name string, h HistogramSnapshot) {
+		printf("# TYPE %s histogram\n", name)
 		var cum int64
 		for i, b := range h.Bounds {
 			cum += h.Buckets[i]
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", name, b, cum); err != nil {
-				return err
-			}
+			printf("%s_bucket{le=\"%d\"} %d\n", name, b, cum)
 		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %d\n%s_count %d\n",
-			name, h.Count, name, h.Sum, name, h.Count); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "# TYPE sim_time_ns gauge\nsim_time_ns %d\n", s.T)
+		printf("%s_bucket{le=\"+Inf\"} %d\n%s_sum %d\n%s_count %d\n",
+			name, h.Count, name, h.Sum, name, h.Count)
+	})
+	printf("# TYPE sim_time_ns gauge\nsim_time_ns %d\n", s.T)
 	return err
 }
 
@@ -70,18 +48,15 @@ func WritePrometheus(w io.Writer, s *Snapshot) error {
 // serve while the simulation runs on other goroutines.
 func Handler(observers func() []*Observer) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		var merged *Snapshot
+		var live []*Snapshot
 		for _, o := range observers() {
-			s := o.Live()
-			if s == nil {
-				continue
+			if s := o.Live(); s != nil {
+				live = append(live, s)
 			}
-			if merged == nil {
-				c := s.Clone()
-				merged = &c
-			} else {
-				merged.Merge(*s)
-			}
+		}
+		var merged *Snapshot
+		if len(live) > 0 {
+			merged = mergeRows(live)
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = WritePrometheus(w, merged)

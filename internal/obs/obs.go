@@ -20,7 +20,8 @@
 //
 // Metrics come from collectors: callbacks sampled at snapshot time
 // that fold a component's existing counters (its Stats struct) into
-// the snapshot without any per-operation cost.
+// the snapshot without any per-operation cost. The first snapshot fixes
+// a registry's Schema; every snapshot is then one row of numbers in it.
 package obs
 
 import (
@@ -148,9 +149,8 @@ func (o *Observer) MaybeSnapshot(now sim.Time) {
 		return
 	}
 	for !now.Before(o.next) {
-		s := o.Metrics.Snapshot(o.seq, int64(o.next), false)
-		o.snaps = append(o.snaps, s)
-		o.publish(s)
+		o.snaps = append(o.snaps, o.Metrics.Snapshot(o.seq, int64(o.next), false))
+		o.publish(&o.snaps[len(o.snaps)-1])
 		o.seq++
 		o.next = o.next.Add(o.interval)
 	}
@@ -166,15 +166,16 @@ func (o *Observer) Finish() {
 	}
 	s := o.Metrics.Snapshot(FinalSeq, int64(o.now()), true)
 	o.final = &s
-	o.publish(s)
+	o.publish(o.final)
 }
 
-// publish makes s the live snapshot. It stores s itself, not a copy: a
-// snapshot never changes once Registry.Snapshot returns it, because
-// everything that folds snapshots together (MergeSnapshots, Handler)
-// clones before it merges.
-func (o *Observer) publish(s Snapshot) {
-	o.live.Store(&s)
+// publish makes s the live snapshot. It stores the pointer, not a
+// copy: a row never changes once Registry.Snapshot returns it, and
+// everything that folds rows together (MergeSnapshots, Handler) builds
+// new ones. A pointer into o.snaps stays valid when the slice grows,
+// because the old backing array is never written again.
+func (o *Observer) publish(s *Snapshot) {
+	o.live.Store(s)
 }
 
 // Live returns the most recently completed snapshot, or nil before the

@@ -26,15 +26,69 @@ func TestRegistryCollectors(t *testing.T) {
 	if s.Seq != 4 || s.T != 99 || !s.Final {
 		t.Fatalf("identity fields: %+v", s)
 	}
-	if s.Counters["sampled_total"] != 7 || s.Counters["shared_total"] != 5 {
-		t.Fatalf("counters: %v", s.Counters)
+	if s.Counter("sampled_total") != 7 || s.Counter("shared_total") != 5 {
+		t.Fatalf("counters: sampled=%d shared=%d", s.Counter("sampled_total"), s.Counter("shared_total"))
 	}
-	if s.Gauges["valid"] != 11 {
-		t.Fatalf("gauges: %v", s.Gauges)
+	if s.Gauge("valid") != 11 {
+		t.Fatalf("gauge valid = %v", s.Gauge("valid"))
 	}
-	if h := s.Histograms["lat"]; h.Count != 3 || h.Sum != 44 || h.Buckets[0] != 1 || h.Buckets[1] != 2 {
+	if h, ok := s.Histogram("lat"); !ok || h.Count != 3 || h.Sum != 44 || h.Buckets[0] != 1 || h.Buckets[1] != 2 {
 		t.Fatalf("histogram: %+v", h)
 	}
+	// The second snapshot writes by call position into the fixed schema.
+	if s := r.Snapshot(5, 100, false); s.Counter("shared_total") != 5 || s.Counter("absent") != 0 {
+		t.Fatalf("second snapshot: shared=%d", s.Counter("shared_total"))
+	}
+}
+
+// TestSchemaDriftPanics: the series set is fixed by the first snapshot,
+// so any later drift in the collectors' call sequence is a bug that
+// must fail loudly rather than silently drop or misfile a series.
+func TestSchemaDriftPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		drift func(*Sample)
+	}{
+		{"renamed", func(s *Sample) { s.Counter("b", 1) }},
+		{"rekinded", func(s *Sample) { s.Gauge("a", 1) }},
+		{"extra", func(s *Sample) { s.Counter("a", 1); s.Counter("a", 1) }},
+		{"missing", func(s *Sample) {}},
+		{"rebounded", func(s *Sample) {
+			s.Counter("a", 1)
+			s.Histogram("h", HistogramSnapshot{Bounds: []int64{7}, Buckets: []int64{0, 0}})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var r Registry
+			drifted := false
+			r.RegisterCollector(func(s *Sample) {
+				if drifted {
+					tc.drift(s)
+					return
+				}
+				s.Counter("a", 1)
+				s.Histogram("h", HistogramSnapshot{Bounds: []int64{5}, Buckets: []int64{0, 0}})
+			})
+			r.Snapshot(0, 0, false)
+			drifted = true
+			defer func() {
+				if recover() == nil {
+					t.Fatal("schema drift did not panic")
+				}
+			}()
+			r.Snapshot(1, 1, false)
+		})
+	}
+	t.Run("late-register", func(t *testing.T) {
+		var r Registry
+		r.Snapshot(0, 0, false)
+		defer func() {
+			if recover() == nil {
+				t.Fatal("RegisterCollector after the first snapshot did not panic")
+			}
+		}()
+		r.RegisterCollector(func(*Sample) {})
+	})
 }
 
 func TestTracerRingOverflow(t *testing.T) {
@@ -70,49 +124,26 @@ func TestMergeEventsOrdering(t *testing.T) {
 	}
 }
 
-func TestSnapshotMergeAndClone(t *testing.T) {
-	a := Snapshot{Seq: 1, T: 10,
-		Counters:   map[string]int64{"x": 1},
-		Gauges:     map[string]float64{"g": 2},
-		Histograms: map[string]HistogramSnapshot{"h": {Bounds: []int64{5}, Buckets: []int64{1, 0}, Count: 1, Sum: 3}}}
-	c := a.Clone()
-	b := Snapshot{Seq: 1, T: 25,
-		Counters:   map[string]int64{"x": 4, "y": 9},
-		Histograms: map[string]HistogramSnapshot{"h": {Bounds: []int64{5}, Buckets: []int64{0, 2}, Count: 2, Sum: 20}}}
-	a.Merge(b)
-	if a.T != 25 || a.Counters["x"] != 5 || a.Counters["y"] != 9 || a.Gauges["g"] != 2 {
-		t.Fatalf("merged: %+v", a)
-	}
-	h := a.Histograms["h"]
-	if h.Count != 3 || h.Sum != 23 || h.Buckets[0] != 1 || h.Buckets[1] != 2 {
-		t.Fatalf("merged histogram: %+v", h)
-	}
-	// The clone must be unaffected by merging into the original.
-	if c.Counters["x"] != 1 || c.Histograms["h"].Count != 1 {
-		t.Fatalf("clone aliased the original: %+v", c)
-	}
-}
-
 func TestMergeSnapshotsSeries(t *testing.T) {
 	shard0 := []Snapshot{
-		{Seq: 0, T: 100, Counters: map[string]int64{"x": 1}},
-		{Seq: 1, T: 200, Counters: map[string]int64{"x": 3}},
-		{Seq: FinalSeq, T: 250, Final: true, Counters: map[string]int64{"x": 4}},
+		row(mapSnapshot{Seq: 0, T: 100, Counters: map[string]int64{"x": 1}}),
+		row(mapSnapshot{Seq: 1, T: 200, Counters: map[string]int64{"x": 3}}),
+		row(mapSnapshot{Seq: FinalSeq, T: 250, Final: true, Counters: map[string]int64{"x": 4}}),
 	}
 	shard1 := []Snapshot{ // ended before interval 1
-		{Seq: 0, T: 100, Counters: map[string]int64{"x": 10}},
-		{Seq: FinalSeq, T: 130, Final: true, Counters: map[string]int64{"x": 11}},
+		row(mapSnapshot{Seq: 0, T: 100, Counters: map[string]int64{"x": 10}}),
+		row(mapSnapshot{Seq: FinalSeq, T: 130, Final: true, Counters: map[string]int64{"x": 11}}),
 	}
 	got := MergeSnapshots(shard0, shard1)
 	if len(got) != 3 {
 		t.Fatalf("len = %d, want 3", len(got))
 	}
-	if got[0].Counters["x"] != 11 || got[1].Counters["x"] != 3 {
-		t.Fatalf("intervals: %+v", got[:2])
+	if got[0].Counter("x") != 11 || got[1].Counter("x") != 3 {
+		t.Fatalf("intervals: x=%d, %d", got[0].Counter("x"), got[1].Counter("x"))
 	}
 	fin := got[2]
-	if !fin.Final || fin.Seq != FinalSeq || fin.Counters["x"] != 15 || fin.T != 250 {
-		t.Fatalf("final: %+v", fin)
+	if !fin.Final || fin.Seq != FinalSeq || fin.Counter("x") != 15 || fin.T != 250 {
+		t.Fatalf("final: seq=%d t=%d x=%d", fin.Seq, fin.T, fin.Counter("x"))
 	}
 }
 
@@ -144,8 +175,8 @@ func TestObserverIntervalSnapshots(t *testing.T) {
 			t.Fatalf("snap %d: seq=%d t=%d", i, snaps[i].Seq, snaps[i].T)
 		}
 	}
-	if snaps[0].Counters["ops_total"] != 1 || snaps[2].Counters["ops_total"] != 2 {
-		t.Fatalf("cumulative counters: %v then %v", snaps[0].Counters, snaps[2].Counters)
+	if snaps[0].Counter("ops_total") != 1 || snaps[2].Counter("ops_total") != 2 {
+		t.Fatalf("cumulative counters: %d then %d", snaps[0].Counter("ops_total"), snaps[2].Counter("ops_total"))
 	}
 	fin := snaps[3]
 	if fin.Seq != FinalSeq || !fin.Final || fin.T != 350 {
@@ -198,7 +229,7 @@ func TestBuildReport(t *testing.T) {
 		t.Fatalf("snapshots: %+v", rep.Snapshots)
 	}
 	fin := rep.Snapshots[0]
-	if fin.Counters["n_total"] != 3 || fin.T != 300 || !fin.Final {
+	if fin.Counter("n_total") != 3 || fin.T != 300 || !fin.Final {
 		t.Fatalf("merged final: %+v", fin)
 	}
 	if len(rep.Events) != 2 || rep.Events[0].Shard != 1 || rep.Events[1].Shard != 0 {
@@ -207,10 +238,11 @@ func TestBuildReport(t *testing.T) {
 }
 
 func TestWritePrometheus(t *testing.T) {
-	s := &Snapshot{T: 42,
+	r := row(mapSnapshot{T: 42,
 		Counters:   map[string]int64{"b_total": 2, "a_total": 1},
 		Gauges:     map[string]float64{"valid": 7},
-		Histograms: map[string]HistogramSnapshot{"lat": {Bounds: []int64{10}, Buckets: []int64{3, 1}, Count: 4, Sum: 25}}}
+		Histograms: map[string]mapHist{"lat": {Bounds: []int64{10}, Buckets: []int64{3, 1}, Count: 4, Sum: 25}}})
+	s := &r
 	var buf bytes.Buffer
 	WritePrometheus(&buf, s)
 	out := buf.String()
@@ -239,7 +271,7 @@ func TestWritePrometheus(t *testing.T) {
 }
 
 func TestJSONLWritersDeterministic(t *testing.T) {
-	snaps := []Snapshot{{Seq: 0, T: 1, Counters: map[string]int64{"b": 2, "a": 1}}}
+	snaps := []Snapshot{row(mapSnapshot{Seq: 0, T: 1, Counters: map[string]int64{"b": 2, "a": 1}})}
 	var x, y bytes.Buffer
 	if err := WriteSnapshotsJSONL(&x, snaps); err != nil {
 		t.Fatal(err)
@@ -294,7 +326,7 @@ func TestLiveConcurrentReaders(t *testing.T) {
 					continue
 				}
 				// Published snapshots are cumulative and immutable.
-				v := s.Counters["ops_total"]
+				v := s.Counter("ops_total")
 				if v < last {
 					t.Errorf("live counter went backwards: %d after %d", v, last)
 					return
@@ -311,7 +343,7 @@ func TestLiveConcurrentReaders(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	o.Finish()
-	if got := o.Live().Counters["ops_total"]; got != iters {
+	if got := o.Live().Counter("ops_total"); got != iters {
 		t.Fatalf("final live counter = %d, want %d", got, iters)
 	}
 	if n := len(o.Snapshots()); n != iters*3/10+1 {

@@ -118,114 +118,66 @@ func TestStatsMergeSumsEveryField(t *testing.T) {
 	}
 }
 
-// checkMergedByTags walks every field of an obs snapshot struct and
-// verifies the merged value obeys the field's `merge` tag: "keep"
-// retains the receiver's value, "max" takes the maximum, and untagged
-// fields accumulate (scalars and slice elements sum; map entries sum
-// key-wise, struct-valued maps recursively). A field added to the
-// struct in a shape this walk doesn't know fails loudly, the same
-// honesty property the flat counter structs get from
-// TestStatsMergeSumsEveryField.
-func checkMergedByTags(t *testing.T, prefix string, merged, a, b reflect.Value) {
-	t.Helper()
-	for i := 0; i < merged.NumField(); i++ {
-		sf := merged.Type().Field(i)
-		name := prefix + sf.Name
-		m, av, bv := merged.Field(i), a.Field(i), b.Field(i)
-		switch sf.Tag.Get("merge") {
-		case "keep":
-			if !reflect.DeepEqual(m.Interface(), av.Interface()) {
-				t.Errorf("%s = %v, want receiver's %v (merge:\"keep\")", name, m, av)
+// obsRow takes one snapshot of a registry reporting the given series.
+func obsRow(seq, t int64, final bool, counters map[string]int64, gauges map[string]float64,
+	hists map[string]obs.HistogramSnapshot) obs.Snapshot {
+	var r obs.Registry
+	r.RegisterCollector(func(s *obs.Sample) {
+		for _, name := range []string{"c", "onlyA", "onlyB"} {
+			if v, ok := counters[name]; ok {
+				s.Counter(name, v)
 			}
-		case "max":
-			want := av.Int()
-			if bv.Int() > want {
-				want = bv.Int()
-			}
-			if m.Int() != want {
-				t.Errorf("%s = %d, want max %d", name, m.Int(), want)
-			}
-		case "":
-			switch m.Kind() {
-			case reflect.Int64:
-				if m.Int() != av.Int()+bv.Int() {
-					t.Errorf("%s = %d, want sum %d", name, m.Int(), av.Int()+bv.Int())
-				}
-			case reflect.Slice:
-				if m.Len() != av.Len() || av.Len() != bv.Len() {
-					t.Fatalf("%s: unequal slice lengths", name)
-				}
-				for j := 0; j < m.Len(); j++ {
-					if m.Index(j).Int() != av.Index(j).Int()+bv.Index(j).Int() {
-						t.Errorf("%s[%d] = %d, want element-wise sum", name, j, m.Index(j).Int())
-					}
-				}
-			case reflect.Map:
-				iter := m.MapRange()
-				for iter.Next() {
-					k := iter.Key()
-					mv := iter.Value()
-					akv, bkv := av.MapIndex(k), bv.MapIndex(k)
-					switch mv.Kind() {
-					case reflect.Int64:
-						var want int64
-						if akv.IsValid() {
-							want += akv.Int()
-						}
-						if bkv.IsValid() {
-							want += bkv.Int()
-						}
-						if mv.Int() != want {
-							t.Errorf("%s[%v] = %d, want %d", name, k, mv.Int(), want)
-						}
-					case reflect.Float64:
-						var want float64
-						if akv.IsValid() {
-							want += akv.Float()
-						}
-						if bkv.IsValid() {
-							want += bkv.Float()
-						}
-						if mv.Float() != want {
-							t.Errorf("%s[%v] = %v, want %v", name, k, mv.Float(), want)
-						}
-					case reflect.Struct:
-						if !akv.IsValid() || !bkv.IsValid() {
-							continue // entry from one shard copies through
-						}
-						checkMergedByTags(t, name+"."+k.String()+".", mv, akv, bkv)
-					default:
-						t.Fatalf("%s: unhandled map value kind %v", name, mv.Kind())
-					}
-				}
-			default:
-				t.Fatalf("%s: kind %v needs a merge tag or map/slice merge support", name, m.Kind())
-			}
-		default:
-			t.Fatalf("%s: unknown merge tag %q", name, sf.Tag.Get("merge"))
 		}
-	}
+		if v, ok := gauges["g"]; ok {
+			s.Gauge("g", v)
+		}
+		if h, ok := hists["h"]; ok {
+			s.Histogram("h", h)
+		}
+	})
+	return r.Snapshot(seq, t, final)
 }
 
+// TestObsSnapshotMergeHonoursTags checks every part of a merged obs
+// snapshot against its merge rule: Seq and Final keep the shards'
+// shared identity, T takes the maximum, counters and gauges sum
+// key-wise (a series one shard lacks copies through), histogram
+// bounds keep the first contributor's and buckets, count and sum add
+// element-wise.
 func TestObsSnapshotMergeHonoursTags(t *testing.T) {
 	hA := obs.HistogramSnapshot{Bounds: []int64{10, 20}, Buckets: []int64{1, 2, 3}, Count: 6, Sum: 30}
 	hB := obs.HistogramSnapshot{Bounds: []int64{10, 20}, Buckets: []int64{4, 5, 6}, Count: 15, Sum: 100}
-	a := obs.Snapshot{Seq: 3, T: 10, Final: true,
-		Counters:   map[string]int64{"c": 1, "onlyA": 2},
-		Gauges:     map[string]float64{"g": 1.5},
-		Histograms: map[string]obs.HistogramSnapshot{"h": hA}}
-	b := obs.Snapshot{Seq: 3, T: 25,
-		Counters:   map[string]int64{"c": 10, "onlyB": 20},
-		Gauges:     map[string]float64{"g": 2.5},
-		Histograms: map[string]obs.HistogramSnapshot{"h": hB}}
-	merged := a.Clone()
-	merged.Merge(b)
-	checkMergedByTags(t, "Snapshot.", reflect.ValueOf(merged), reflect.ValueOf(a), reflect.ValueOf(b))
-
-	mh := hA.Clone()
-	mh.Merge(hB)
-	checkMergedByTags(t, "HistogramSnapshot.",
-		reflect.ValueOf(mh), reflect.ValueOf(hA), reflect.ValueOf(hB))
+	for _, final := range []bool{false, true} {
+		seq := int64(3)
+		if final {
+			seq = obs.FinalSeq
+		}
+		a := obsRow(seq, 10, final, map[string]int64{"c": 1, "onlyA": 2},
+			map[string]float64{"g": 1.5}, map[string]obs.HistogramSnapshot{"h": hA})
+		b := obsRow(seq, 25, final, map[string]int64{"c": 10, "onlyB": 20},
+			map[string]float64{"g": 2.5}, map[string]obs.HistogramSnapshot{"h": hB})
+		merged := obs.MergeSnapshots([]obs.Snapshot{a}, []obs.Snapshot{b})
+		m := &merged[len(merged)-1]
+		if m.Seq != seq || m.Final != final {
+			t.Errorf("final=%v: Seq %d Final %v, want the shards' %d %v", final, m.Seq, m.Final, seq, final)
+		}
+		if m.T != 25 {
+			t.Errorf("final=%v: T = %d, want max 25", final, m.T)
+		}
+		counters := map[string]int64{}
+		m.EachCounter(func(name string, v int64) { counters[name] = v })
+		if want := map[string]int64{"c": 11, "onlyA": 2, "onlyB": 20}; !reflect.DeepEqual(counters, want) {
+			t.Errorf("final=%v: counters %v, want key-wise sum %v", final, counters, want)
+		}
+		if g := m.Gauge("g"); g != 4 {
+			t.Errorf("final=%v: gauge g = %v, want sum 4", final, g)
+		}
+		h, ok := m.Histogram("h")
+		want := obs.HistogramSnapshot{Bounds: []int64{10, 20}, Buckets: []int64{5, 7, 9}, Count: 21, Sum: 130}
+		if !ok || !reflect.DeepEqual(h, want) {
+			t.Errorf("final=%v: histogram %+v, want %+v", final, h, want)
+		}
+	}
 }
 
 func TestPowerBreakdownAdd(t *testing.T) {
