@@ -158,8 +158,8 @@ func (c *Cache) snapshot() (*CacheCheckpoint, error) {
 			Open:   r.open,
 			Blocks: r.blocks,
 		}
-		for e := r.lru.Front(); e != nil; e = e.Next() {
-			cr.LRU = append(cr.LRU, e.Value.(int))
+		for b := r.head; b != noBlock; b = c.meta[b].next {
+			cr.LRU = append(cr.LRU, int(b))
 		}
 		ck.Regions[i] = cr
 	}
@@ -238,10 +238,7 @@ func (c *Cache) restore(ck *CacheCheckpoint) error {
 		r.free = append(r.free[:0], cr.Free...)
 		r.open = cr.Open
 		r.blocks = cr.Blocks
-		r.lru.Init()
-		for _, b := range cr.LRU {
-			c.meta[b].elem = r.lru.PushBack(b)
-		}
+		c.relinkLRU(r, cr.LRU)
 	}
 	c.fgst = ck.FGST
 	c.stats = ck.Stats

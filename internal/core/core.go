@@ -357,6 +357,9 @@ type Cache struct {
 	// pagesScratch backs appendValidPagesOf at the reclaim call
 	// sites that are safe to share it; see that method's contract.
 	pagesScratch []nand.Addr
+	// gcPages backs backgroundGC's relocation list, which must not
+	// share pagesScratch: its allocProgram calls can retire or evict.
+	gcPages []nand.Addr
 	// obs, when attached, receives decision events and samples the
 	// stats at snapshot time; nil means observability is off (the hot
 	// paths pay one untaken branch per decision site).

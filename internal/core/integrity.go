@@ -87,9 +87,10 @@ func (c *Cache) CheckIntegrity() error {
 
 // checkStructure audits the allocator's bookkeeping: every block lives
 // in exactly one lifecycle home (a region's free list, a region's open
-// slot, a region's LRU list, or retirement), the LRU lists and block
-// metadata agree about each other, region populations add up, and
-// per-block counters stay within the geometry.
+// slot, a region's LRU list, or retirement), region populations add
+// up, per-block counters stay within the geometry, and each region's
+// LRU links, stamps and greedy victim index agree with the block
+// metadata (checkIndex).
 func (c *Cache) checkStructure() error {
 	// home[b] records where block b was found among the region
 	// structures; every block must be claimed exactly once.
@@ -125,12 +126,9 @@ func (c *Cache) checkStructure() error {
 					r.open, r.id, m.state, m.region)
 			}
 		}
-		for e := r.lru.Front(); e != nil; e = e.Next() {
-			b, ok := e.Value.(int)
-			if !ok {
-				return fmt.Errorf("core: integrity: region %d LRU holds a non-block element", r.id)
-			}
-			if err := claim(b, fmt.Sprintf("region %d LRU", r.id)); err != nil {
+		lru := 0
+		for b := r.head; b != noBlock; b = c.meta[b].next {
+			if err := claim(int(b), fmt.Sprintf("region %d LRU", r.id)); err != nil {
 				return err
 			}
 			m := &c.meta[b]
@@ -138,11 +136,9 @@ func (c *Cache) checkStructure() error {
 				return fmt.Errorf("core: integrity: LRU block %d of region %d has (state %d, region %d)",
 					b, r.id, m.state, m.region)
 			}
-			if m.elem != e {
-				return fmt.Errorf("core: integrity: block %d metadata does not point back at its LRU node", b)
-			}
+			lru++
 		}
-		population := len(r.free) + r.lru.Len()
+		population := len(r.free) + lru
 		if r.open >= 0 {
 			population++
 		}
@@ -167,6 +163,11 @@ func (c *Cache) checkStructure() error {
 		if m.valid < 0 || m.consumed < 0 || m.valid > m.consumed || m.consumed > pages {
 			return fmt.Errorf("core: integrity: block %d counters out of range (valid %d, consumed %d, pages %d)",
 				b, m.valid, m.consumed, pages)
+		}
+	}
+	for _, r := range c.regions {
+		if err := c.checkIndex(r); err != nil {
+			return err
 		}
 	}
 	return nil

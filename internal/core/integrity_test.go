@@ -122,9 +122,9 @@ func TestIntegrityCatchesLRUDetachment(t *testing.T) {
 	// its metadata: the block now belongs to no structure.
 	detached := -1
 	for b := range c.meta {
-		if c.meta[b].state == blockActive && c.meta[b].elem != nil {
+		if c.meta[b].state == blockActive && c.meta[b].onLRU() {
 			r := c.regions[c.meta[b].region]
-			r.lru.Remove(c.meta[b].elem)
+			c.unlink(r, b)
 			// Keep the population tally consistent so the sharper
 			// orphan-block check is the one that fires.
 			r.blocks--
@@ -170,4 +170,41 @@ func TestIntegrityCatchesCounterOverflow(t *testing.T) {
 		}
 	}
 	assertCaught(t, c, "counters out of range")
+}
+
+// TestIntegrityCatchesVictimIndexDrift: the audit checks the greedy
+// victim index against the block metadata — a block filed under the
+// wrong invalid count, a non-empty bit out of step with its bucket, and
+// LRU stamps out of order are each caught.
+func TestIntegrityCatchesVictimIndexDrift(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func(c *Cache, r *region)
+	}{
+		{"misfiled block", "filed in region", func(c *Cache, r *region) {
+			b := int(r.head)
+			c.bucketDel(r, b)
+			c.meta[b].consumed++
+			c.bucketAdd(r, b)
+			c.meta[b].consumed--
+		}},
+		{"stale non-empty bit", "non-empty bit", func(c *Cache, r *region) {
+			k := r.mostInvalid()
+			r.nonEmpty[k/64] &^= 1 << (k % 64)
+		}},
+		{"stamps out of order", "stamps do not strictly decrease", func(c *Cache, r *region) {
+			front, next := &c.meta[r.head], &c.meta[c.meta[r.head].next]
+			front.stamp, next.stamp = next.stamp, front.stamp
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := populatedCache(t)
+			r := c.regions[readRegion]
+			if r.active < 2 {
+				t.Fatalf("setup: read region LRU holds %d blocks, want at least 2", r.active)
+			}
+			tc.corrupt(c, r)
+			assertCaught(t, c, tc.want)
+		})
+	}
 }

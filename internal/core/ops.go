@@ -273,8 +273,8 @@ func (c *Cache) Flush() int {
 	if r.open >= 0 {
 		flushBlock(r.open)
 	}
-	for e := r.lru.Front(); e != nil; e = e.Next() {
-		flushBlock(e.Value.(int))
+	for b := r.head; b != noBlock; b = c.meta[b].next {
+		flushBlock(int(b))
 	}
 	return n
 }

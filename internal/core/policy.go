@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/list"
 	"fmt"
 	"math"
 
@@ -25,9 +24,9 @@ import (
 
 // evictPolicy picks the block a full region evicts.
 type evictPolicy interface {
-	// victim returns the LRU-list element of the block to evict, or
-	// nil when the region has no active blocks.
-	victim(c *Cache, r *region) *list.Element
+	// victim returns the block to evict, or -1 when the region has no
+	// active blocks.
+	victim(c *Cache, r *region) int
 	// rotate reports whether the section 3.6 wear-rotation migration
 	// runs after erases (the wear-lru policy's second half).
 	rotate() bool
@@ -53,11 +52,10 @@ type admitPolicy interface {
 
 // gcPolicy picks the background-collection victim.
 type gcPolicy interface {
-	// victim returns the LRU-list element of the block to collect and
-	// its invalid-page count, or nil when no block is worth
-	// collecting. force marks the watermark trigger, which collects
-	// even low-payoff blocks.
-	victim(c *Cache, r *region, force bool) (*list.Element, int)
+	// victim returns the block to collect and its invalid-page count,
+	// or -1 when no block is worth collecting. force marks the
+	// watermark trigger, which collects even low-payoff blocks.
+	victim(c *Cache, r *region, force bool) (int, int)
 }
 
 // Scheduler-feedback thresholds (DESIGN.md section 14). Every
@@ -154,8 +152,8 @@ func (c *Cache) feedbackActive() bool {
 // swap a worn victim with the globally newest block.
 type wearLRUEvict struct{}
 
-func (wearLRUEvict) victim(c *Cache, r *region) *list.Element { return r.lru.Back() }
-func (wearLRUEvict) rotate() bool                             { return true }
+func (wearLRUEvict) victim(c *Cache, r *region) int { return int(r.tail) }
+func (wearLRUEvict) rotate() bool                   { return true }
 
 // cmWearWindow is how deep into the LRU tail the cm-wear policy looks
 // for a young block. Small, so the victim stays cold (Boukhobza et
@@ -170,14 +168,13 @@ const cmWearWindow = 4
 // disabled, saving their relocation writes.
 type cmWearEvict struct{ window int }
 
-func (p cmWearEvict) victim(c *Cache, r *region) *list.Element {
-	var best *list.Element
+func (p cmWearEvict) victim(c *Cache, r *region) int {
+	best := -1
 	bestErases := 0
 	n := 0
-	for e := r.lru.Back(); e != nil && n < p.window; e = e.Prev() {
-		b := e.Value.(int)
-		if er := c.fbst.At(b).Erases; best == nil || er < bestErases {
-			best, bestErases = e, er
+	for b := r.tail; b != noBlock && n < p.window; b = c.meta[b].prev {
+		if er := c.fbst.At(int(b)).Erases; best < 0 || er < bestErases {
+			best, bestErases = int(b), er
 		}
 		n++
 	}
@@ -271,28 +268,21 @@ func (a *throttleAdmit) restore(entries []policy.AdmitEntry) error {
 
 // greedyGC is the paper's collector: the most-invalid block wins, and
 // (unless the watermark forces collection) the victim must be at least
-// half invalid to pay for its relocation traffic.
+// half invalid to pay for its relocation traffic. Ties go to the least
+// recently used block. The region's victim index (blocklru.go) answers
+// both in one bitset probe and a scan of the top bucket.
 type greedyGC struct{}
 
-func (greedyGC) victim(c *Cache, r *region, force bool) (*list.Element, int) {
-	best := -1
-	bestInvalid := 0
-	var bestElem *list.Element
-	for e := r.lru.Back(); e != nil; e = e.Prev() {
-		b := e.Value.(int)
-		m := &c.meta[b]
-		invalid := m.consumed - m.valid
-		if invalid > bestInvalid {
-			best, bestInvalid, bestElem = b, invalid, e
-		}
+func (greedyGC) victim(c *Cache, r *region, force bool) (int, int) {
+	invalid := r.mostInvalid()
+	if invalid <= 0 {
+		return -1, 0
 	}
-	if best < 0 {
-		return nil, 0
+	best := c.oldestWith(r, invalid)
+	if !force && invalid*2 < c.meta[best].consumed {
+		return -1, 0
 	}
-	if m := &c.meta[best]; !force && bestInvalid*2 < m.consumed {
-		return nil, 0
-	}
-	return bestElem, bestInvalid
+	return best, invalid
 }
 
 // costBenefitGC maximises the cost-benefit score of the GC survey:
@@ -305,15 +295,13 @@ func (greedyGC) victim(c *Cache, r *region, force bool) (*list.Element, int) {
 // not in when collection is economical at all.
 type costBenefitGC struct{}
 
-func (costBenefitGC) victim(c *Cache, r *region, force bool) (*list.Element, int) {
+func (costBenefitGC) victim(c *Cache, r *region, force bool) (int, int) {
 	best := -1
 	bestInvalid := 0
 	bestScore := -1.0
-	var bestElem *list.Element
-	for e := r.lru.Back(); e != nil; e = e.Prev() {
-		b := e.Value.(int)
+	for b := r.tail; b != noBlock; b = c.meta[b].prev {
 		m := &c.meta[b]
-		invalid := m.consumed - m.valid
+		invalid := m.invalid()
 		if invalid <= 0 {
 			continue
 		}
@@ -328,16 +316,16 @@ func (costBenefitGC) victim(c *Cache, r *region, force bool) (*list.Element, int
 			score = (1 - u) / (2 * u) * age
 		}
 		if score > bestScore {
-			best, bestInvalid, bestScore, bestElem = b, invalid, score, e
+			best, bestInvalid, bestScore = int(b), invalid, score
 		}
 	}
 	if best < 0 {
-		return nil, 0
+		return -1, 0
 	}
 	if m := &c.meta[best]; !force && bestInvalid*2 < m.consumed {
-		return nil, 0
+		return -1, 0
 	}
-	return bestElem, bestInvalid
+	return best, bestInvalid
 }
 
 // contentionGC is scheduler-informed victim selection: greedy's
@@ -368,7 +356,7 @@ type contentionGC struct {
 	streak int
 }
 
-func (g *contentionGC) victim(c *Cache, r *region, force bool) (*list.Element, int) {
+func (g *contentionGC) victim(c *Cache, r *region, force bool) (int, int) {
 	var now sim.Time
 	if c.clock != nil {
 		now = c.clock.Now()
@@ -377,7 +365,7 @@ func (g *contentionGC) victim(c *Cache, r *region, force bool) (*list.Element, i
 			g.streak++
 			c.stats.GCDeferred++
 			c.eventGCDeferred(backlog)
-			return nil, 0
+			return -1, 0
 		}
 	}
 	g.streak = 0
@@ -385,12 +373,11 @@ func (g *contentionGC) victim(c *Cache, r *region, force bool) (*list.Element, i
 	// Eligibility is filtered before any steering, so collection
 	// proceeds exactly when greedy's would; only the victim choice may
 	// differ.
+	best := -1
 	bestInvalid := 0
-	var bestElem *list.Element
-	for e := r.lru.Back(); e != nil; e = e.Prev() {
-		b := e.Value.(int)
+	for b := r.tail; b != noBlock; b = c.meta[b].prev {
 		m := &c.meta[b]
-		invalid := m.consumed - m.valid
+		invalid := m.invalid()
 		if invalid <= 0 {
 			continue
 		}
@@ -398,37 +385,36 @@ func (g *contentionGC) victim(c *Cache, r *region, force bool) (*list.Element, i
 			continue
 		}
 		if invalid > bestInvalid {
-			bestInvalid, bestElem = invalid, e
+			best, bestInvalid = int(b), invalid
 		}
 	}
-	if bestElem == nil {
-		return nil, 0
+	if best < 0 {
+		return -1, 0
 	}
 	if c.clock == nil {
-		return bestElem, bestInvalid
+		return best, bestInvalid
 	}
 	// Pass 2 — idle-bank steering among near-ties: any eligible
 	// candidate whose benefit is within gcSteerSlack of greedy's may
 	// displace it if its bank is predicted to be free sooner. Ties on
 	// wait keep the more-invalid (then more-LRU) candidate.
 	chosenInvalid := bestInvalid
-	bestWait := c.sched.BankWait(bestElem.Value.(int), now)
-	for e := r.lru.Back(); e != nil; e = e.Prev() {
-		b := e.Value.(int)
+	bestWait := c.sched.BankWait(best, now)
+	for b := r.tail; b != noBlock; b = c.meta[b].prev {
 		m := &c.meta[b]
-		invalid := m.consumed - m.valid
+		invalid := m.invalid()
 		if invalid <= 0 || invalid*gcSteerSlackDen < bestInvalid*gcSteerSlackNum {
 			continue
 		}
 		if !force && invalid*2 < m.consumed {
 			continue
 		}
-		w := c.sched.BankWait(b, now)
+		w := c.sched.BankWait(int(b), now)
 		if w < bestWait || (w == bestWait && invalid > chosenInvalid) {
-			bestWait, chosenInvalid, bestElem = w, invalid, e
+			bestWait, chosenInvalid, best = w, invalid, int(b)
 		}
 	}
-	return bestElem, chosenInvalid
+	return best, chosenInvalid
 }
 
 // windowedGCWindow is the windowed-greedy window size: the candidate
@@ -441,25 +427,21 @@ const windowedGCWindow = 8
 // candidates) while keeping greedy's O(window) scan.
 type windowedGreedyGC struct{ window int }
 
-func (p windowedGreedyGC) victim(c *Cache, r *region, force bool) (*list.Element, int) {
+func (p windowedGreedyGC) victim(c *Cache, r *region, force bool) (int, int) {
 	best := -1
 	bestInvalid := 0
-	var bestElem *list.Element
 	n := 0
-	for e := r.lru.Back(); e != nil && n < p.window; e = e.Prev() {
-		b := e.Value.(int)
-		m := &c.meta[b]
-		invalid := m.consumed - m.valid
-		if invalid > bestInvalid {
-			best, bestInvalid, bestElem = b, invalid, e
+	for b := r.tail; b != noBlock && n < p.window; b = c.meta[b].prev {
+		if invalid := c.meta[b].invalid(); invalid > bestInvalid {
+			best, bestInvalid = int(b), invalid
 		}
 		n++
 	}
 	if best < 0 {
-		return nil, 0
+		return -1, 0
 	}
 	if m := &c.meta[best]; !force && bestInvalid*2 < m.consumed {
-		return nil, 0
+		return -1, 0
 	}
-	return bestElem, bestInvalid
+	return best, bestInvalid
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/list"
 	"reflect"
 	"testing"
 
@@ -85,13 +84,23 @@ func TestWLFCWriteAround(t *testing.T) {
 
 // fakeRegion builds a detached region whose LRU lists the given blocks
 // front-to-back, for unit-testing victim selection against crafted
-// per-block metadata. Only the fields the policies read are wired.
+// per-block metadata. Only the fields the policies read are wired. The
+// greedy victim index is derived from the block counters, so fixtures
+// change those through setCounts, which refiles the block.
 func fakeRegion(c *Cache, blocks ...int) *region {
-	r := &region{id: readRegion, lru: list.New()}
-	for _, b := range blocks {
-		c.meta[b].elem = r.lru.PushBack(b)
-	}
+	r := newRegion(readRegion)
+	c.relinkLRU(r, blocks)
+	c.indexRegion(r)
 	return r
+}
+
+// setCounts sets block b's consumed and valid page counts inside fake
+// region r, keeping r's victim index in step.
+func setCounts(c *Cache, r *region, b, consumed, valid int) {
+	c.bucketDel(r, b)
+	c.meta[b].consumed = consumed
+	c.meta[b].valid = valid
+	c.bucketAdd(r, b)
 }
 
 // TestCMWearVictimPrefersYoungTail: among the window LRU-tail blocks
@@ -105,14 +114,14 @@ func TestCMWearVictimPrefersYoungTail(t *testing.T) {
 		c.fbst.At(b).Erases = erases
 	}
 	p := cmWearEvict{window: 4}
-	if got := p.victim(c, r).Value.(int); got != 3 {
+	if got := p.victim(c, r); got != 3 {
 		t.Fatalf("victim = block %d, want 3 (fewest erases inside the window)", got)
 	}
 	if p.rotate() {
 		t.Fatal("cm-wear must disable wear rotation")
 	}
 	// The default policy on the same region takes the plain LRU tail.
-	if got := (wearLRUEvict{}).victim(c, r).Value.(int); got != 5 {
+	if got := (wearLRUEvict{}).victim(c, r); got != 5 {
 		t.Fatalf("wear-lru victim = block %d, want 5 (LRU tail)", got)
 	}
 }
@@ -123,50 +132,49 @@ func TestCMWearVictimPrefersYoungTail(t *testing.T) {
 // prefers fully invalid blocks absolutely.
 func TestGCVictimSelection(t *testing.T) {
 	c := smallCache(t, nil)
-	set := func(b, consumed, valid int, eraseSeq uint64) {
-		c.meta[b].consumed = consumed
-		c.meta[b].valid = valid
+	set := func(r *region, b, consumed, valid int, eraseSeq uint64) {
+		setCounts(c, r, b, consumed, valid)
 		c.meta[b].lastEraseSeq = eraseSeq
 	}
 	c.seq = 1000
 	// LRU front-to-back: 0 1 2 3. Tail window of 2 covers 3,2.
 	r := fakeRegion(c, 0, 1, 2, 3)
-	set(0, 128, 10, 900)  // most invalid (118), but MRU and young
-	set(1, 128, 120, 100) // barely invalid, old
-	set(2, 128, 40, 500)  // 88 invalid
-	set(3, 128, 64, 100)  // 64 invalid, oldest tail block
+	set(r, 0, 128, 10, 900)  // most invalid (118), but MRU and young
+	set(r, 1, 128, 120, 100) // barely invalid, old
+	set(r, 2, 128, 40, 500)  // 88 invalid
+	set(r, 3, 128, 64, 100)  // 64 invalid, oldest tail block
 
-	if e, inv := (greedyGC{}).victim(c, r, false); e.Value.(int) != 0 || inv != 118 {
-		t.Fatalf("greedy picked block %d (%d invalid), want 0 (118)", e.Value.(int), inv)
+	if b, inv := (greedyGC{}).victim(c, r, false); b != 0 || inv != 118 {
+		t.Fatalf("greedy picked block %d (%d invalid), want 0 (118)", b, inv)
 	}
-	if e, _ := (windowedGreedyGC{window: 2}).victim(c, r, false); e.Value.(int) != 2 {
-		t.Fatalf("windowed greedy picked block %d, want 2 (most invalid inside the tail window)", e.Value.(int))
+	if b, _ := (windowedGreedyGC{window: 2}).victim(c, r, false); b != 2 {
+		t.Fatalf("windowed greedy picked block %d, want 2 (most invalid inside the tail window)", b)
 	}
 	// Cost-benefit: block 0 scores (118/128)/(2*10/128)*100 ~ 590,
 	// block 2 scores (88/128)/(2*40/128)*500 ~ 550, block 3 scores
 	// (64/128)/(2*64/128)*900 = 450 — the young-but-empty block wins.
-	if e, _ := (costBenefitGC{}).victim(c, r, false); e.Value.(int) != 0 {
-		t.Fatalf("cost-benefit picked block %d, want 0", e.Value.(int))
+	if b, _ := (costBenefitGC{}).victim(c, r, false); b != 0 {
+		t.Fatalf("cost-benefit picked block %d, want 0", b)
 	}
 	// A fully invalid block beats any finite score regardless of age.
-	set(1, 128, 0, 1000)
-	if e, inv := (costBenefitGC{}).victim(c, r, false); e.Value.(int) != 1 || inv != 128 {
-		t.Fatalf("cost-benefit picked block %d (%d invalid), want the fully invalid block 1", e.Value.(int), inv)
+	set(r, 1, 128, 0, 1000)
+	if b, inv := (costBenefitGC{}).victim(c, r, false); b != 1 || inv != 128 {
+		t.Fatalf("cost-benefit picked block %d (%d invalid), want the fully invalid block 1", b, inv)
 	}
 	// The non-forced payoff guard holds for every policy: when the best
 	// candidate is less than half invalid, nothing is collected.
 	r2 := fakeRegion(c, 4)
-	set(4, 128, 100, 0)
-	if e, _ := (greedyGC{}).victim(c, r2, false); e != nil {
+	set(r2, 4, 128, 100, 0)
+	if b, _ := (greedyGC{}).victim(c, r2, false); b >= 0 {
 		t.Fatal("greedy collected a low-payoff block without force")
 	}
-	if e, _ := (costBenefitGC{}).victim(c, r2, false); e != nil {
+	if b, _ := (costBenefitGC{}).victim(c, r2, false); b >= 0 {
 		t.Fatal("cost-benefit collected a low-payoff block without force")
 	}
-	if e, _ := (windowedGreedyGC{window: 8}).victim(c, r2, false); e != nil {
+	if b, _ := (windowedGreedyGC{window: 8}).victim(c, r2, false); b >= 0 {
 		t.Fatal("windowed greedy collected a low-payoff block without force")
 	}
-	if e, _ := (greedyGC{}).victim(c, r2, true); e == nil {
+	if b, _ := (greedyGC{}).victim(c, r2, true); b < 0 {
 		t.Fatal("forced greedy skipped the only candidate")
 	}
 }
@@ -181,8 +189,8 @@ func TestEvictEmptyRegionPaths(t *testing.T) {
 	// blocks yet, so eviction must close the open block first.
 	c.Read(3)
 	c.Insert(3)
-	if r.lru.Len() != 0 || r.open < 0 {
-		t.Fatalf("setup: lru=%d open=%d, want empty lru with an open block", r.lru.Len(), r.open)
+	if r.active != 0 || r.open < 0 {
+		t.Fatalf("setup: lru=%d open=%d, want empty lru with an open block", r.active, r.open)
 	}
 	c.evict(r)
 	if c.Dead() {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/list"
 	"errors"
 
 	"flashdc/internal/ecc"
@@ -65,7 +64,6 @@ func (c *Cache) applyStagedAndErase(b int) sim.Duration {
 	m.accessSum = 0
 	m.lastEraseSeq = c.seq
 	m.state = blockFree
-	m.elem = nil
 	// Post-erase reliability pass: pages whose wear already exceeds
 	// their (freshly applied) strength must be reconfigured before
 	// reuse, or the block retired when both knobs are exhausted.
@@ -151,7 +149,7 @@ func (c *Cache) retire(b int) {
 			c.clearOpen(r)
 		}
 	case blockActive:
-		if m.elem != nil {
+		if m.onLRU() {
 			c.removeActive(r, b)
 		}
 	case blockFree:
@@ -180,8 +178,8 @@ func (c *Cache) retire(b int) {
 // proactively.
 func (c *Cache) reclaim(r *region) {
 	// Fast path: a fully invalid active block just needs an erase.
-	for e := r.lru.Back(); e != nil; e = e.Prev() {
-		b := e.Value.(int)
+	for lb := r.tail; lb != noBlock; lb = c.meta[lb].prev {
+		b := int(lb)
 		if c.meta[b].valid == 0 {
 			c.removeActive(r, b)
 			c.stats.GCRuns++
@@ -209,20 +207,19 @@ func (r *region) addFreeReclaimed(b int) { r.free = append(r.free, b) }
 // (the newest block's content migrates into the victim and the newest
 // block is erased for reuse instead).
 func (c *Cache) evict(r *region) {
-	victimElem := c.evictPol.victim(c, r)
-	if victimElem == nil {
+	victim := c.evictPol.victim(c, r)
+	if victim < 0 {
 		// Nothing active: the region is degenerate (all space open or
 		// retired). Close the open block so it becomes evictable.
 		if r.open >= 0 {
 			c.closeOpen(r)
-			victimElem = c.evictPol.victim(c, r)
+			victim = c.evictPol.victim(c, r)
 		}
-		if victimElem == nil {
+		if victim < 0 {
 			c.dead = true
 			return
 		}
 	}
-	victim := victimElem.Value.(int)
 	c.evictBlock(victim)
 	if c.evictPol.rotate() && c.meta[victim].state == blockFree {
 		c.maybeWearRotate(victim)
@@ -235,17 +232,12 @@ func (c *Cache) evict(r *region) {
 func (c *Cache) newestActive() (int, float64, bool) {
 	best := -1
 	bestWear := 0.0
-	scan := func(l *list.List) {
-		for e := l.Front(); e != nil; e = e.Next() {
-			b := e.Value.(int)
-			w := c.fbst.WearOut(b)
-			if best == -1 || w < bestWear {
-				best, bestWear = b, w
+	for _, r := range c.regions {
+		for b := r.head; b != noBlock; b = c.meta[b].next {
+			if w := c.fbst.WearOut(int(b)); best == -1 || w < bestWear {
+				best, bestWear = int(b), w
 			}
 		}
-	}
-	for _, r := range c.regions {
-		scan(r.lru)
 	}
 	if best == -1 {
 		return 0, 0, false
@@ -270,7 +262,7 @@ func (c *Cache) evictBlock(b int) {
 		}
 		c.invalidate(a)
 	}
-	if m.state == blockActive && m.elem != nil {
+	if m.state == blockActive && m.onLRU() {
 		c.removeActive(r, b)
 	} else if m.state == blockOpen {
 		c.clearOpen(r)
@@ -378,7 +370,7 @@ func (c *Cache) maybeWearRotate(b int) bool {
 	c.pushActive(newestRegion, b)
 
 	// Erase the newest block and hand it to b's former region.
-	if nm.elem != nil {
+	if nm.onLRU() {
 		c.removeActive(newestRegion, newest)
 	}
 	c.applyStagedAndErase(newest)
@@ -447,11 +439,10 @@ func maxStrength(a, b ecc.Strength) ecc.Strength {
 // collection because the read region's aggregate capacity is already
 // below target.
 func (c *Cache) backgroundGC(r *region, force bool) sim.Duration {
-	bestElem, bestInvalid := c.gcPol.victim(c, r, force)
-	if bestElem == nil {
+	best, bestInvalid := c.gcPol.victim(c, r, force)
+	if best < 0 {
 		return 0
 	}
-	best := bestElem.Value.(int)
 	m := &c.meta[best]
 	if c.freePagesIn(r) < m.valid+4 {
 		return 0 // not enough headroom to relocate safely
@@ -460,10 +451,10 @@ func (c *Cache) backgroundGC(r *region, force bool) sim.Duration {
 	relocatedBefore := c.stats.GCRelocations
 	var t sim.Duration
 	dirty := r.id == c.writeRegionIndex() && len(c.regions) == 2
-	pages := c.validPagesOf(best)
+	c.gcPages = c.appendValidPagesOf(c.gcPages[:0], best)
 	c.removeActive(r, best)
 	m.state = blockActive // detached; erased below
-	for _, a := range pages {
+	for _, a := range c.gcPages {
 		src := c.fpst.At(a)
 		lba := src.LBA
 		mode := src.Mode

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/list"
 	"errors"
 
 	"flashdc/internal/nand"
@@ -34,8 +33,14 @@ type blockMeta struct {
 	// cursorSlot/cursorSub is the next allocation position.
 	cursorSlot int
 	cursorSub  int
-	// elem is the block's node in its region's LRU list while active.
-	elem *list.Element
+	// prev/next link the block into its region's LRU while active,
+	// and stamp orders it there (stamps strictly decrease from the
+	// front to the back; 0 while off the LRU). bprev/bnext link it
+	// into the region's victim-index bucket for its invalid count
+	// (blocklru.go).
+	prev, next   int32
+	bprev, bnext int32
+	stamp        uint64
 	// accessSum accumulates the FPST access counters of pages at
 	// invalidation time, giving the erase-time reconfiguration
 	// heuristic a frequency estimate for the block's traffic.
@@ -55,9 +60,17 @@ type region struct {
 	free []int
 	// open is the block currently being filled, or -1.
 	open int
-	// lru lists active (fully allocated) blocks, front = most
-	// recently used. Values are block numbers (int).
-	lru *list.List
+	// head and tail are the most and least recently used active
+	// (fully allocated) blocks, noBlock when there are none; active
+	// counts them and stamp is the last LRU stamp handed out.
+	head, tail int32
+	active     int
+	stamp      uint64
+	// bucket[k] heads the list of active blocks with k invalid pages,
+	// and nonEmpty has bit k set exactly while it is non-empty: the
+	// greedy victim index (blocklru.go).
+	bucket   [invalidBuckets]int32
+	nonEmpty [(invalidBuckets + 63) / 64]uint64
 	// blocks is the current population (free + open + active).
 	blocks int
 	// total and valid are the page counts of the open block and the
@@ -68,7 +81,11 @@ type region struct {
 }
 
 func newRegion(id int) *region {
-	return &region{id: id, open: -1, lru: list.New()}
+	r := &region{id: id, open: -1, head: noBlock, tail: noBlock}
+	for k := range r.bucket {
+		r.bucket[k] = noBlock
+	}
+	return r
 }
 
 func (r *region) addFree(b int) {
@@ -89,8 +106,12 @@ func (r *region) popFree() int {
 // touch marks block b most recently used.
 func (c *Cache) touch(b int) {
 	m := &c.meta[b]
-	if m.state == blockActive && m.elem != nil {
-		c.regions[m.region].lru.MoveToFront(m.elem)
+	if m.state != blockActive || !m.onLRU() {
+		return
+	}
+	if r := c.regions[m.region]; r.head != int32(b) {
+		c.unlink(r, b)
+		c.linkFront(r, b)
 	}
 }
 
@@ -112,9 +133,8 @@ func (c *Cache) pagesPerFreshBlock() int { return nand.SlotsPerBlock }
 // open block and LRU members, the definition its incremental counters
 // must match.
 func (c *Cache) walkPages(r *region) (total, valid int) {
-	for e := r.lru.Front(); e != nil; e = e.Next() {
-		b := e.Value.(int)
-		total += c.dev.PagesPerBlock(b)
+	for b := r.head; b != noBlock; b = c.meta[b].next {
+		total += c.dev.PagesPerBlock(int(b))
 		valid += c.meta[b].valid
 	}
 	if r.open >= 0 {
@@ -124,11 +144,13 @@ func (c *Cache) walkPages(r *region) (total, valid int) {
 	return total, valid
 }
 
-// recountRegions rederives every region's counters by walking, after a
-// restore has rebuilt the region structures wholesale.
+// recountRegions rederives every region's counters by walking, and its
+// LRU stamps and victim index from the LRU order, after a restore has
+// rebuilt the region structures wholesale.
 func (c *Cache) recountRegions() {
 	for _, r := range c.regions {
 		r.total, r.valid = c.walkPages(r)
+		c.indexRegion(r)
 	}
 }
 
@@ -137,7 +159,7 @@ func (c *Cache) recountRegions() {
 func (c *Cache) countedIn(b int) *region {
 	m := &c.meta[b]
 	r := c.regions[m.region]
-	if (m.state == blockActive && m.elem != nil) || (m.state == blockOpen && r.open == b) {
+	if (m.state == blockActive && m.onLRU()) || (m.state == blockOpen && r.open == b) {
 		return r
 	}
 	return nil
@@ -158,27 +180,38 @@ func (c *Cache) clearOpen(r *region) {
 	}
 }
 
-// pushActive puts block b at the front of the region's LRU.
+// pushActive puts block b at the front of the region's LRU and files
+// it in the victim index.
 func (c *Cache) pushActive(r *region, b int) {
-	c.meta[b].elem = r.lru.PushFront(b)
+	c.linkFront(r, b)
+	c.bucketAdd(r, b)
 	c.count(r, b, 1)
 }
 
-// removeActive takes block b off the region's LRU.
+// removeActive takes block b off the region's LRU and victim index.
 func (c *Cache) removeActive(r *region, b int) {
-	m := &c.meta[b]
-	r.lru.Remove(m.elem)
-	m.elem = nil
+	c.bucketDel(r, b)
+	c.unlink(r, b)
 	c.count(r, b, -1)
 }
 
 // addValid moves block b's live page count by d, together with the
-// cache-wide count and, while b is counted, its region's.
+// cache-wide count and, while b is counted, its region's — refiling b
+// in the victim index when it is active.
 func (c *Cache) addValid(b, d int) {
-	c.meta[b].valid += d
+	m := &c.meta[b]
+	r := c.countedIn(b)
+	indexed := r != nil && m.onLRU()
+	if indexed {
+		c.bucketDel(r, b)
+	}
+	m.valid += d
 	c.totalValid += int64(d)
-	if r := c.countedIn(b); r != nil {
+	if r != nil {
 		r.valid += d
+	}
+	if indexed {
+		c.bucketAdd(r, b)
 	}
 }
 
@@ -261,7 +294,6 @@ func (c *Cache) openBlock(r *region, b int) {
 	m := &c.meta[b]
 	m.state = blockOpen
 	m.region = r.id
-	m.elem = nil
 	r.open = b
 	c.count(r, b, 1)
 }
@@ -354,7 +386,7 @@ func (c *Cache) validPagesOf(b int) []nand.Addr {
 // do so when nothing in its iteration body can reach another
 // scratch-backed listing (retire and evictBlock both use the scratch,
 // so e.g. the GC relocation loop, whose allocProgram can retire a
-// block mid-flight, must not).
+// block mid-flight, lists into its own gcPages buffer instead).
 func (c *Cache) appendValidPagesOf(dst []nand.Addr, b int) []nand.Addr {
 	for s := 0; s < nand.SlotsPerBlock; s++ {
 		subs := 1

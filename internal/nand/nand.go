@@ -169,7 +169,6 @@ type slotState struct {
 }
 
 type blockState struct {
-	slots []slotState
 	// pages is the addressable page count of the block's current slot
 	// modes (one per SLC slot, two per MLC slot), kept in step with
 	// every mode change so PagesPerBlock is a field read.
@@ -218,6 +217,13 @@ type Device struct {
 	cfg    Config
 	model  *wear.Model
 	blocks []blockState
+	// slots is the slot arena: every block's page slots, block-major,
+	// so slot s of block b is slots[b*SlotsPerBlock+s].
+	slots []slotState
+	// wearFree holds, per mode, the effective cycle count below which
+	// no page of this device has a failed bit (wear.WearFreeCycles):
+	// the error paths skip the wear model there.
+	wearFree [2]float64
 	// livePages is the summed page count of the non-retired blocks,
 	// kept in step with mode changes and retirements so CapacityBytes
 	// is a field read.
@@ -248,17 +254,17 @@ func New(cfg Config) *Device {
 		cfg:    cfg,
 		model:  wear.NewModel(),
 		blocks: make([]blockState, cfg.Blocks),
+		slots:  make([]slotState, cfg.Blocks*SlotsPerBlock),
 	}
 	rng := sim.NewRNG(cfg.Seed)
-	for b := range d.blocks {
-		slots := make([]slotState, SlotsPerBlock)
-		for s := range slots {
-			slots[s] = slotState{
-				mode: cfg.InitialMode,
-				wear: d.model.SamplePageWear(rng, cfg.SigmaSpatial),
-			}
+	for i := range d.slots {
+		d.slots[i] = slotState{
+			mode: cfg.InitialMode,
+			wear: d.model.SamplePageWear(rng, cfg.SigmaSpatial),
 		}
-		d.blocks[b].slots = slots
+	}
+	for m := range d.wearFree {
+		d.wearFree[m] = d.model.WearFreeCycles(cfg.SigmaSpatial, wear.Mode(m))
 	}
 	for _, b := range cfg.FactoryBadBlocks {
 		if b >= 0 && b < len(d.blocks) {
@@ -278,11 +284,16 @@ func slotPages(m wear.Mode) int {
 	return 1
 }
 
-// countPages sums the block's page count from its slot modes.
-func (blk *blockState) countPages() int {
+// blockSlots returns block b's slots in the arena.
+func (d *Device) blockSlots(b int) []slotState {
+	return d.slots[b*SlotsPerBlock : (b+1)*SlotsPerBlock]
+}
+
+// countPages sums block b's page count from its slot modes.
+func (d *Device) countPages(b int) int {
 	n := 0
-	for i := range blk.slots {
-		n += slotPages(blk.slots[i].mode)
+	for _, sl := range d.blockSlots(b) {
+		n += slotPages(sl.mode)
 	}
 	return n
 }
@@ -293,7 +304,7 @@ func (d *Device) recount() {
 	d.livePages = 0
 	for b := range d.blocks {
 		blk := &d.blocks[b]
-		blk.pages = blk.countPages()
+		blk.pages = d.countPages(b)
 		if !blk.retired {
 			d.livePages += int64(blk.pages)
 		}
@@ -345,7 +356,7 @@ func (d *Device) slot(a Addr) (*blockState, *slotState, error) {
 		return nil, nil, fmt.Errorf("%w: %v", ErrBadAddress, a)
 	}
 	blk := &d.blocks[a.Block]
-	sl := &blk.slots[a.Slot]
+	sl := &d.slots[a.Block*SlotsPerBlock+a.Slot]
 	maxSub := 1
 	if sl.mode == wear.MLC {
 		maxSub = 2
@@ -436,7 +447,7 @@ func (d *Device) Read(a Addr) (ReadResult, error) {
 // helps, which is exactly what the refresh policy exploits.
 func (d *Device) organicBits(blk *blockState, sl *slotState, sub int) int {
 	cycles := float64(blk.eraseCount) * d.cfg.WearAcceleration
-	bits := sl.wear.FailedBits(cycles, sl.mode)
+	bits := d.wearBits(sl, cycles)
 	if d.cfg.Retention.Enabled() && sl.programmed[sub] {
 		bits += d.cfg.Retention.Bits(d.now().Sub(sl.programmedAt[sub]), cycles, sl.mode)
 	}
@@ -469,7 +480,17 @@ func (d *Device) WearBitErrors(a Addr) int {
 	if err != nil {
 		panic(err)
 	}
-	return sl.wear.FailedBits(float64(blk.eraseCount)*d.cfg.WearAcceleration, sl.mode)
+	return d.wearBits(sl, float64(blk.eraseCount)*d.cfg.WearAcceleration)
+}
+
+// wearBits is the slot's wear.FailedBits at the given effective
+// cycles, answered without the model below the device's wear-free
+// bound.
+func (d *Device) wearBits(sl *slotState, cycles float64) int {
+	if cycles < d.wearFree[sl.mode] {
+		return 0
+	}
+	return sl.wear.FailedBits(cycles, sl.mode)
 }
 
 // Program writes the payload token into a free (erased) page and
@@ -582,8 +603,9 @@ func (d *Device) Erase(b int) (sim.Duration, error) {
 		// The block keeps its prior contents; no wear cycle accrues.
 		return lat, fmt.Errorf("%w: block %d", ErrEraseFailed, b)
 	}
-	for i := range blk.slots {
-		sl := &blk.slots[i]
+	slots := d.blockSlots(b)
+	for i := range slots {
+		sl := &slots[i]
 		sl.programmed[0] = false
 		sl.programmed[1] = false
 		sl.data[0] = 0
@@ -615,7 +637,7 @@ func (d *Device) CheckCounts() error {
 	var live int64
 	for b := range d.blocks {
 		blk := &d.blocks[b]
-		n := blk.countPages()
+		n := d.countPages(b)
 		if n != blk.pages {
 			return fmt.Errorf("nand: block %d caches %d pages, slot modes give %d", b, blk.pages, n)
 		}

@@ -174,7 +174,7 @@ func (md *Model) NewPageWear(rng *sim.RNG, sigmaSpatial float64) *PageWear {
 // avoid a heap allocation per page. The two forms draw identically
 // from the RNG.
 func (md *Model) SamplePageWear(rng *sim.RNG, sigmaSpatial float64) PageWear {
-	scale := sigmaSpatial * md.ClusterPenalty * md.SigmaDecades / 3
+	scale := md.offsetScale(sigmaSpatial)
 	offset := rng.NormFloat64() * scale
 	// Clamp to 3 sigma so a single pathological sample cannot zero
 	// out a page instantly; beyond-3-sigma pages are the factory bad
@@ -186,6 +186,29 @@ func (md *Model) SamplePageWear(rng *sim.RNG, sigmaSpatial float64) PageWear {
 		offset = -limit
 	}
 	return PageWear{model: md, muOffset: offset}
+}
+
+// offsetScale is the standard deviation, in decades, of the page
+// quality offsets SamplePageWear draws at the given spatial spread.
+func (md *Model) offsetScale(sigmaSpatial float64) float64 {
+	return sigmaSpatial * md.ClusterPenalty * md.SigmaDecades / 3
+}
+
+// WearFreeCycles returns a write/erase cycle count below which every
+// page SamplePageWear can draw at the given spatial spread has
+// FailedBits 0 in the given mode: half the first-failure point of the
+// weakest page its 3-sigma clamp admits. Halving moves the cycle count
+// 0.3 decades, about a tenth of a standard deviation of the cell
+// lifetime — orders of magnitude more than the error of NormInv or of
+// float rounding — so callers may skip the model below the bound
+// without changing a single result. A negative spread defeats the
+// clamp, so it gets no bound (0).
+func (md *Model) WearFreeCycles(sigmaSpatial float64, mode Mode) float64 {
+	if !(sigmaSpatial >= 0) {
+		return 0
+	}
+	weakest := PageWear{model: md, muOffset: -3 * md.offsetScale(sigmaSpatial)}
+	return weakest.CyclesUntilBits(0, mode) / 2
 }
 
 // FailedBits returns the number of stuck cells in this page after
