@@ -199,8 +199,7 @@ func (c *Cache) Write(lba int64) sim.Duration {
 	c.seq++
 	c.stats.Writes++
 	if c.dead {
-		c.stats.FlushedPages++
-		return c.cfg.Backing.WritePage(lba)
+		return c.writeBack(lba)
 	}
 	if addr, ok := c.fcht.Get(lba); ok {
 		c.invalidate(addr)
@@ -233,8 +232,7 @@ func (c *Cache) Write(lba int64) sim.Duration {
 	if c.dead {
 		// The cache died mid-allocation; the dirty page goes straight
 		// to the backing store instead of being lost.
-		c.stats.FlushedPages++
-		return lat + c.cfg.Backing.WritePage(lba)
+		return lat + c.writeBack(lba)
 	}
 	c.fcht.Put(lba, addr)
 	c.maybeGC()
@@ -260,21 +258,11 @@ func (c *Cache) Flush() int {
 	}
 	n := 0
 	r := c.regions[writeRegion]
-	flushBlock := func(b int) {
-		c.pagesScratch = c.appendValidPagesOf(c.pagesScratch[:0], b)
-		for _, a := range c.pagesScratch {
-			st := c.fpst.At(a)
-			c.cfg.Backing.WritePage(st.LBA)
-			c.stats.FlushedPages++
-			c.invalidate(a)
-			n++
-		}
-	}
 	if r.open >= 0 {
-		flushBlock(r.open)
+		n += c.dropPages(r.open, false)
 	}
 	for b := r.head; b != noBlock; b = c.meta[b].next {
-		flushBlock(int(b))
+		n += c.dropPages(int(b), false)
 	}
 	return n
 }

@@ -7,6 +7,7 @@ import (
 	"flashdc/internal/nand"
 	"flashdc/internal/sched"
 	"flashdc/internal/sim"
+	"flashdc/internal/tables"
 	"flashdc/internal/wear"
 )
 
@@ -131,15 +132,7 @@ func (c *Cache) retire(b int) {
 		return
 	}
 	c.eventRetire(b, m.valid)
-	c.pagesScratch = c.appendValidPagesOf(c.pagesScratch[:0], b)
-	for _, a := range c.pagesScratch {
-		st := c.fpst.At(a)
-		if m.region == c.writeRegionIndex() && len(c.regions) == 2 {
-			c.stats.FlushedPages++
-			c.cfg.Backing.WritePage(st.LBA)
-		}
-		c.invalidate(a)
-	}
+	c.dropPages(b, false)
 	r := c.regions[m.region]
 	switch m.state {
 	case blockOpen:
@@ -153,12 +146,7 @@ func (c *Cache) retire(b int) {
 			c.removeActive(r, b)
 		}
 	case blockFree:
-		for i, fb := range r.free {
-			if fb == b {
-				r.free = append(r.free[:i], r.free[i+1:]...)
-				break
-			}
-		}
+		r.takeFree(b)
 	}
 	r.blocks--
 	m.state = blockRetired
@@ -251,17 +239,7 @@ func (c *Cache) newestActive() (int, float64, bool) {
 func (c *Cache) evictBlock(b int) {
 	m := &c.meta[b]
 	r := c.regions[m.region]
-	dirty := m.region == c.writeRegionIndex() && len(c.regions) == 2
-	c.pagesScratch = c.appendValidPagesOf(c.pagesScratch[:0], b)
-	for _, a := range c.pagesScratch {
-		st := c.fpst.At(a)
-		c.noteMarginal(st)
-		if dirty {
-			c.stats.FlushedPages++
-			c.cfg.Backing.WritePage(st.LBA)
-		}
-		c.invalidate(a)
-	}
+	c.dropPages(b, true)
 	if m.state == blockActive && m.onLRU() {
 		c.removeActive(r, b)
 	} else if m.state == blockOpen {
@@ -274,6 +252,39 @@ func (c *Cache) evictBlock(b int) {
 	}
 }
 
+// dropPages invalidates every valid page of block b, writing each back
+// first when b's region is dirty, and returns how many it dropped. An
+// eviction (evicting set) also feeds each page's access frequency to
+// the marginal-page estimate.
+func (c *Cache) dropPages(b int, evicting bool) int {
+	dirty := c.dirty(c.meta[b].region)
+	c.pagesScratch = c.appendValidPagesOf(c.pagesScratch[:0], b)
+	for _, a := range c.pagesScratch {
+		st := c.fpst.At(a)
+		if evicting {
+			c.noteMarginal(st)
+		}
+		if dirty {
+			c.writeBack(st.LBA)
+		}
+		c.invalidate(a)
+	}
+	return len(c.pagesScratch)
+}
+
+// dirty reports whether region holds data the backing store has not
+// seen: a page is dirty only in the split cache's write region. The
+// unified baseline keeps no dirty state, so a written page it drops is
+// never written back.
+func (c *Cache) dirty(region int) bool { return len(c.regions) == 2 && region == writeRegion }
+
+// writeBack hands lba's page to the backing store, counting it as
+// flushed, and returns the write latency.
+func (c *Cache) writeBack(lba int64) sim.Duration {
+	c.stats.FlushedPages++
+	return c.cfg.Backing.WritePage(lba)
+}
+
 // maybeWearRotate implements the migration path of section 3.6 for a
 // just-erased block b: when b's degree of wear exceeds the globally
 // newest active block's by the configured threshold, the newest
@@ -283,11 +294,18 @@ func (c *Cache) evictBlock(b int) {
 // stay balanced. Returns false when no rotation was needed or it could
 // not fit.
 func (c *Cache) maybeWearRotate(b int) bool {
+	// WearOut is never negative (its terms only grow and its weights
+	// are positive), so b cannot out-wear any block by more than its
+	// own wear: within the threshold there is no newest block to find.
+	wearOut := c.fbst.WearOut(b)
+	if wearOut <= c.cfg.WearThreshold {
+		return false
+	}
 	newest, newestWear, ok := c.newestActive()
 	if !ok || newest == b {
 		return false
 	}
-	if c.fbst.WearOut(b)-newestWear <= c.cfg.WearThreshold {
+	if wearOut-newestWear <= c.cfg.WearThreshold {
 		return false
 	}
 	vm := &c.meta[b]
@@ -311,58 +329,37 @@ func (c *Cache) maybeWearRotate(b int) bool {
 	}
 
 	// Remove b from its free list; it is about to become active.
-	for i, fb := range homeRegion.free {
-		if fb == b {
-			homeRegion.free = append(homeRegion.free[:i], homeRegion.free[i+1:]...)
-			break
-		}
-	}
+	homeRegion.takeFree(b)
 
 	// Migrate newest's content into b, preserving each page's density
 	// and strength demands.
 	vm.state = blockOpen
 	for _, a := range content {
-		src := c.fpst.At(a)
-		lba := src.LBA
-		mode := src.Mode
-		staged := src.StagedStrength
-		access := src.Access
+		src := *c.fpst.At(a)
 		c.invalidate(a)
-		dst, ok := c.migrateAlloc(b, mode)
+		dst, ok := c.nextPage(b, src.Mode)
+		if ok {
+			if _, err := c.program(dst, src.LBA); err != nil {
+				if !errors.Is(err, nand.ErrProgramFailed) {
+					panic(err)
+				}
+				// Slot burned mid-migration. Retirement (if the block
+				// keeps failing) waits until b's region bookkeeping is
+				// consistent again.
+				c.stats.ProgramFailures++
+				c.noteProgramFailure(b, false)
+				ok = false
+			}
+		}
 		if !ok {
-			// Cannot happen given the capacity check, but degrade
-			// safely: flush dirty data rather than lose it.
-			if nm.region == c.writeRegionIndex() && len(c.regions) == 2 {
-				c.stats.FlushedPages++
-				c.cfg.Backing.WritePage(lba)
+			// A burned slot, or a capacity shortfall the check above
+			// rules out: write dirty data back rather than lose it.
+			if c.dirty(nm.region) {
+				c.writeBack(src.LBA)
 			}
 			continue
 		}
-		if _, err := c.dev.Program(dst, uint64(lba)); err != nil {
-			if errors.Is(err, nand.ErrProgramFailed) {
-				// Slot burned mid-migration: salvage the page the
-				// same way as a capacity shortfall. Retirement (if
-				// the block keeps failing) waits until b's region
-				// bookkeeping is consistent again.
-				c.stats.ProgramFailures++
-				c.noteProgramFailure(b, false)
-				if nm.region == c.writeRegionIndex() && len(c.regions) == 2 {
-					c.stats.FlushedPages++
-					c.cfg.Backing.WritePage(lba)
-				}
-				continue
-			}
-			panic(err)
-		}
-		c.meta[b].progFails = 0
-		d := c.fpst.At(dst)
-		d.Valid = true
-		d.LBA = lba
-		d.Access = access
-		d.InsertedAt = c.seq
-		d.StagedStrength = maxStrength(d.StagedStrength, staged)
-		c.addValid(b, 1)
-		c.fcht.Put(lba, dst)
+		c.carry(dst, &src)
 	}
 	// b now plays the newest block's role in the newest's region.
 	vm.state = blockActive
@@ -376,48 +373,11 @@ func (c *Cache) maybeWearRotate(b int) bool {
 	c.applyStagedAndErase(newest)
 	if c.meta[newest].state == blockFree {
 		nm.region = homeRegion.id
-		homeRegion.free = append(homeRegion.free, newest)
+		homeRegion.addFreeReclaimed(newest)
 	}
 	c.stats.WearSwaps++
 	c.eventWearRotate(b, newest, len(content))
 	return true
-}
-
-// migrateAlloc allocates the next page of the requested mode inside a
-// specific (open-for-migration) block, bypassing region allocation.
-func (c *Cache) migrateAlloc(b int, mode wear.Mode) (nand.Addr, bool) {
-	m := &c.meta[b]
-	for m.cursorSlot < nand.SlotsPerBlock {
-		slotAddr := nand.Addr{Block: b, Slot: m.cursorSlot}
-		if m.cursorSub == 0 {
-			if c.dev.Mode(slotAddr) != mode {
-				c.setSlotMode(b, m.cursorSlot, mode)
-				for sub := 0; sub < 2; sub++ {
-					st := c.fpst.At(nand.Addr{Block: b, Slot: m.cursorSlot, Sub: sub})
-					st.Mode = mode
-					st.StagedMode = mode
-				}
-			}
-			m.consumed++
-			if mode == wear.MLC {
-				m.cursorSub = 1
-			} else {
-				m.cursorSlot++
-			}
-			return slotAddr, true
-		}
-		if mode == wear.MLC {
-			a := nand.Addr{Block: b, Slot: m.cursorSlot, Sub: 1}
-			m.cursorSlot++
-			m.cursorSub = 0
-			m.consumed++
-			return a, true
-		}
-		m.consumed++
-		m.cursorSlot++
-		m.cursorSub = 0
-	}
-	return nand.Addr{}, false
 }
 
 func maxStrength(a, b ecc.Strength) ecc.Strength {
@@ -425,6 +385,52 @@ func maxStrength(a, b ecc.Strength) ecc.Strength {
 		return a
 	}
 	return b
+}
+
+// relocate moves the valid page at a to fresh space in its own region:
+// the one page move GC, the scrubber and the refresh pass share. The
+// copy keeps the page's density and access heat, and the stronger of
+// its staged ECC strength and the destination slot's; the source read
+// and the copy's program are booked as background device work. With
+// remap set, the read's bit errors first stage a stronger configuration
+// on the source slot for the block's next life (section 5.2.1). It
+// returns the time spent and whether the copy landed: when the cache
+// dies during the allocation, a dirty page is written back rather than
+// lost.
+func (c *Cache) relocate(a nand.Addr, remap bool) (sim.Duration, bool) {
+	st := c.fpst.At(a)
+	src := *st
+	region := c.meta[a.Block].region
+	res, err := c.dev.Read(a)
+	if err != nil {
+		panic(err) // a valid page always reads
+	}
+	t := res.Latency
+	c.sched.Background(a.Block, sched.OpRead, res.Latency)
+	if remap && c.cfg.Programmable {
+		c.reconfigure(a.Block, a, res.BitErrors, c.pageFreq(st))
+	}
+	c.invalidate(a)
+	dst, lat := c.allocProgram(c.regions[region], src.Mode, src.LBA)
+	if c.dead {
+		if c.dirty(region) {
+			c.writeBack(src.LBA)
+		}
+		return t, false
+	}
+	c.sched.Background(dst.Block, sched.OpProgram, lat)
+	c.carry(dst, &src)
+	return t + lat, true
+}
+
+// carry gives the freshly programmed copy at dst of page src its access
+// heat and the stronger of the two staged strengths, and maps src's LBA
+// to it.
+func (c *Cache) carry(dst nand.Addr, src *tables.PageStatus) {
+	d := c.fpst.At(dst)
+	d.Access = src.Access
+	d.StagedStrength = maxStrength(d.StagedStrength, src.StagedStrength)
+	c.fcht.Put(src.LBA, dst)
 }
 
 // backgroundGC compacts invalid space without blocking the host: it
@@ -450,52 +456,23 @@ func (c *Cache) backgroundGC(r *region, force bool) sim.Duration {
 	c.eventGCStart(best, bestInvalid)
 	relocatedBefore := c.stats.GCRelocations
 	var t sim.Duration
-	dirty := r.id == c.writeRegionIndex() && len(c.regions) == 2
 	c.gcPages = c.appendValidPagesOf(c.gcPages[:0], best)
 	c.removeActive(r, best)
 	m.state = blockActive // detached; erased below
 	for _, a := range c.gcPages {
-		src := c.fpst.At(a)
-		lba := src.LBA
-		mode := src.Mode
-		access := src.Access
-		staged := src.StagedStrength
-		res, err := c.dev.Read(a)
-		if err != nil {
-			panic(err)
-		}
-		t += res.Latency
-		c.sched.Background(a.Block, sched.OpRead, res.Latency)
-		c.invalidate(a)
-		dst, lat := c.allocProgram(r, mode, lba)
-		if c.dead {
+		lat, ok := c.relocate(a, false)
+		t += lat
+		if !ok {
 			// Allocation collapsed mid-relocation (mass retirement
-			// under a fault campaign): salvage the in-flight page.
-			if dirty {
-				c.stats.FlushedPages++
-				c.cfg.Backing.WritePage(lba)
-			}
+			// under a fault campaign).
 			break
 		}
-		t += lat
-		c.sched.Background(dst.Block, sched.OpProgram, lat)
-		d := c.fpst.At(dst)
-		d.Access = access
-		d.StagedStrength = maxStrength(d.StagedStrength, staged)
-		c.fcht.Put(lba, dst)
 		c.stats.GCRelocations++
 	}
 	c.stats.GCRuns++
-	// A dead break above leaves unrelocated pages behind; drop (after
-	// flushing dirty data) so the erase invariant holds.
-	c.pagesScratch = c.appendValidPagesOf(c.pagesScratch[:0], best)
-	for _, a := range c.pagesScratch {
-		if dirty {
-			c.stats.FlushedPages++
-			c.cfg.Backing.WritePage(c.fpst.At(a).LBA)
-		}
-		c.invalidate(a)
-	}
+	// A dead break above leaves unrelocated pages behind; drop them
+	// (writing dirty data back) so the erase invariant holds.
+	c.dropPages(best, false)
 	if c.meta[best].state != blockRetired {
 		// The erase occupies only the victim's bank: sibling banks on
 		// the same channel stay serviceable, which is the contention

@@ -103,6 +103,16 @@ func (r *region) popFree() int {
 	return b
 }
 
+// takeFree removes erased block b from the free list.
+func (r *region) takeFree(b int) {
+	for i, fb := range r.free {
+		if fb == b {
+			r.free = append(r.free[:i], r.free[i+1:]...)
+			return
+		}
+	}
+}
+
 // touch marks block b most recently used.
 func (c *Cache) touch(b int) {
 	m := &c.meta[b]
@@ -227,14 +237,26 @@ func (c *Cache) setSlotMode(b, s int, m wear.Mode) {
 	}
 }
 
-// tryAlloc returns the next free page of the open block matching the
-// requested density, advancing the cursor. ok is false when the open
-// block cannot serve the request (full, or absent).
+// tryAlloc returns the next free page of the region's open block
+// matching the requested density. ok is false when the open block
+// cannot serve the request: absent, or exhausted — then it moves to the
+// active LRU.
 func (c *Cache) tryAlloc(r *region, mode wear.Mode) (nand.Addr, bool) {
 	if r.open < 0 {
 		return nand.Addr{}, false
 	}
-	b := r.open
+	if addr, ok := c.nextPage(r.open, mode); ok {
+		return addr, true
+	}
+	c.closeOpen(r)
+	return nand.Addr{}, false
+}
+
+// nextPage returns the next free page of block b matching the requested
+// density, advancing b's cursor; ok is false when b is exhausted. It is
+// the one slot cursor: region allocation and the wear rotation's
+// migration into a chosen block both go through it.
+func (c *Cache) nextPage(b int, mode wear.Mode) (nand.Addr, bool) {
 	m := &c.meta[b]
 	for m.cursorSlot < nand.SlotsPerBlock {
 		slotAddr := nand.Addr{Block: b, Slot: m.cursorSlot}
@@ -249,14 +271,13 @@ func (c *Cache) tryAlloc(r *region, mode wear.Mode) (nand.Addr, bool) {
 					st.StagedMode = mode
 				}
 			}
-			addr := slotAddr
 			m.consumed++
 			if mode == wear.MLC {
 				m.cursorSub = 1
 			} else {
 				m.cursorSlot++
 			}
-			return addr, true
+			return slotAddr, true
 		}
 		// Slot is MLC with sub 0 consumed.
 		if mode == wear.MLC {
@@ -273,8 +294,6 @@ func (c *Cache) tryAlloc(r *region, mode wear.Mode) (nand.Addr, bool) {
 		m.cursorSlot++
 		m.cursorSub = 0
 	}
-	// Open block exhausted: move it to the active LRU.
-	c.closeOpen(r)
 	return nand.Addr{}, false
 }
 
@@ -313,7 +332,7 @@ func (c *Cache) allocProgram(r *region, mode wear.Mode, lba int64) (nand.Addr, s
 			panic("core: allocator made no progress")
 		}
 		if addr, ok := c.tryAlloc(r, mode); ok {
-			plat, err := c.dev.Program(addr, uint64(lba))
+			plat, err := c.program(addr, lba)
 			lat += plat
 			if err != nil {
 				if errors.Is(err, nand.ErrProgramFailed) {
@@ -328,13 +347,6 @@ func (c *Cache) allocProgram(r *region, mode wear.Mode, lba int64) (nand.Addr, s
 				}
 				panic(err)
 			}
-			c.meta[addr.Block].progFails = 0
-			st := c.fpst.At(addr)
-			st.Valid = true
-			st.LBA = lba
-			st.Access = 0
-			st.InsertedAt = c.seq
-			c.addValid(addr.Block, 1)
 			return addr, lat
 		}
 		if c.dead {
@@ -346,6 +358,24 @@ func (c *Cache) allocProgram(r *region, mode wear.Mode, lba int64) (nand.Addr, s
 		}
 		c.reclaim(r)
 	}
+}
+
+// program writes lba's token to the free page at addr and, when the
+// program succeeds, registers the page as a fresh valid copy of lba.
+// A failed program is returned to the caller, which owns the response.
+func (c *Cache) program(addr nand.Addr, lba int64) (sim.Duration, error) {
+	lat, err := c.dev.Program(addr, uint64(lba))
+	if err != nil {
+		return lat, err
+	}
+	c.meta[addr.Block].progFails = 0
+	st := c.fpst.At(addr)
+	st.Valid = true
+	st.LBA = lba
+	st.Access = 0
+	st.InsertedAt = c.seq
+	c.addValid(addr.Block, 1)
+	return lat, nil
 }
 
 // noteProgramFailure records one program failure on block b and, when

@@ -106,65 +106,3 @@ func TestPolyDegAndTrim(t *testing.T) {
 		t.Fatal("zero polynomial degree wrong")
 	}
 }
-
-func TestPolyEvalMatchesMul(t *testing.T) {
-	f := NewField(8)
-	// p(x) = (x + a)(x + b) must vanish at a and b.
-	a, b := f.Exp(10), f.Exp(100)
-	p := f.MulPoly(Poly{a, 1}, Poly{b, 1})
-	if f.Eval(p, a) != 0 || f.Eval(p, b) != 0 {
-		t.Fatal("product polynomial does not vanish at its roots")
-	}
-	if f.Eval(p, f.Exp(5)) == 0 {
-		t.Fatal("polynomial vanishes at a non-root")
-	}
-}
-
-func TestMulPolyDistributes(t *testing.T) {
-	f := NewField(6)
-	check := func(aSeed, bSeed, cSeed uint16) bool {
-		mask := uint16(63)
-		a := Poly{aSeed & mask, (aSeed >> 6) & mask, 1}
-		b := Poly{bSeed & mask, (bSeed >> 6) & mask}
-		c := Poly{cSeed & mask, (cSeed >> 6) & mask}
-		left := f.MulPoly(a, AddPoly(b, c))
-		right := AddPoly(f.MulPoly(a, b), f.MulPoly(a, c))
-		if left.Deg() != right.Deg() {
-			return false
-		}
-		for i := 0; i <= left.Deg(); i++ {
-			if left[i] != right[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestScalePoly(t *testing.T) {
-	f := NewField(8)
-	p := Poly{1, 2, 3}
-	c := f.Exp(9)
-	got := f.ScalePoly(c, p)
-	for i := range p {
-		if got[i] != f.Mul(c, p[i]) {
-			t.Fatalf("ScalePoly[%d] wrong", i)
-		}
-	}
-}
-
-func TestFormalDerivative(t *testing.T) {
-	// d/dx (c0 + c1 x + c2 x^2 + c3 x^3) = c1 + c3 x^2 over GF(2^m).
-	p := Poly{5, 7, 9, 11}
-	d := FormalDerivative(p)
-	want := Poly{7, 0, 11}
-	if len(d) != 3 || d[0] != want[0] || d[1] != want[1] || d[2] != want[2] {
-		t.Fatalf("FormalDerivative = %v, want %v", d, want)
-	}
-	if FormalDerivative(Poly{3}) != nil {
-		t.Fatal("derivative of constant should be nil")
-	}
-}
