@@ -70,8 +70,10 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64n(uint64(n)))
 }
 
-// Uint64n returns a uniform integer in [0, n) using Lemire's
-// multiply-shift rejection method. It panics if n == 0.
+// Uint64n returns a uniform integer in [0, n): a mask for powers of
+// two, otherwise modulo reduction with rejection of the top partial
+// range of 64-bit values so every residue is equally likely. It
+// panics if n == 0.
 func (r *RNG) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("sim: Uint64n with zero n")
@@ -146,23 +148,31 @@ func (r *RNG) Perm(n int) []int {
 // 1/(k+1)^alpha, the tailed popularity distribution the paper's
 // micro-benchmarks use (Table 4: alpha = 0.8, 1.2, 1.6).
 //
-// It uses an alias-free inverted-CDF table built once at construction,
-// so sampling is O(log n).
+// A draw inverts the CDF: it returns the first rank whose cumulative
+// probability is >= u for a uniform u. A guide table (Chen & Asau's
+// indexed search) built once at construction makes that O(1) in
+// expectation: guide[g] is the first rank whose CDF is >= g/n, so the
+// answer for u in cell g = floor(u*n) lies in [guide[g], guide[g+1]].
+// Float rounding in u*n and g/n can put u one cell off, so index
+// widens the bracket until cdf[lo-1] < u <= cdf[hi] before searching
+// it. The bracket then holds the answer whatever the table says, and
+// every draw equals the full binary search over the CDF.
 type Zipf struct {
-	cdf []float64
-	rng *RNG
+	cdf   []float64
+	guide []int32 // n+1 entries
+	rng   *RNG
 }
 
 // NewZipf builds a Zipf sampler over n items with exponent alpha > 0.
-// A degenerate configuration (n <= 0, alpha <= 0 or NaN, nil rng) is
-// reported as an error rather than a panic: the parameters usually come
-// straight from workload configuration.
+// A degenerate configuration (n <= 0 or above math.MaxInt32, alpha <=
+// 0 or NaN, nil rng) is reported as an error rather than a panic: the
+// parameters usually come straight from workload configuration.
 func NewZipf(rng *RNG, n int, alpha float64) (*Zipf, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("sim: Zipf needs an RNG")
 	}
-	if n <= 0 {
-		return nil, fmt.Errorf("sim: Zipf needs a positive item count, have %d", n)
+	if n <= 0 || n > math.MaxInt32 {
+		return nil, fmt.Errorf("sim: Zipf needs an item count in [1, %d], have %d", math.MaxInt32, n)
 	}
 	if !(alpha > 0) {
 		return nil, fmt.Errorf("sim: Zipf needs a positive alpha, have %v", alpha)
@@ -178,20 +188,49 @@ func NewZipf(rng *RNG, n int, alpha float64) (*Zipf, error) {
 		cdf[k] *= inv
 	}
 	cdf[n-1] = 1 // guard against rounding
-	return &Zipf{cdf: cdf, rng: rng}, nil
+	return &Zipf{cdf: cdf, guide: newGuide(cdf), rng: rng}, nil
+}
+
+// newGuide returns the guide table of a CDF whose last entry is 1:
+// entry g is the first index whose CDF entry is >= g/n. That last
+// entry ends every scan, so no entry exceeds n-1.
+func newGuide(cdf []float64) []int32 {
+	n := len(cdf)
+	guide := make([]int32, n+1)
+	i := 0
+	for g := range guide {
+		t := float64(g) / float64(n)
+		for cdf[i] < t {
+			i++
+		}
+		guide[g] = int32(i)
+	}
+	return guide
 }
 
 // N returns the number of items the sampler draws from.
 func (z *Zipf) N() int { return len(z.cdf) }
 
 // Next returns the next sample: rank 0 is the most popular item.
-func (z *Zipf) Next() int {
-	u := z.rng.Float64()
-	// binary search for the first cdf entry >= u
-	lo, hi := 0, len(z.cdf)-1
+func (z *Zipf) Next() int { return z.index(z.rng.Float64()) }
+
+// index returns the first rank whose CDF entry is >= u, for u in [0, 1).
+func (z *Zipf) index(u float64) int {
+	cdf := z.cdf
+	g := int(u * float64(len(cdf)))
+	if g >= len(cdf) {
+		g = len(cdf) - 1
+	}
+	lo, hi := int(z.guide[g]), int(z.guide[g+1])
+	for lo > 0 && cdf[lo-1] >= u {
+		lo--
+	}
+	for cdf[hi] < u { // cdf[n-1] = 1 > u stops this
+		hi++
+	}
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
+		if cdf[mid] < u {
 			lo = mid + 1
 		} else {
 			hi = mid

@@ -189,6 +189,7 @@ func TestSamplerConstructorsReject(t *testing.T) {
 		{"zipf zero alpha", func() error { _, err := NewZipf(r, 10, 0); return err }},
 		{"zipf nan alpha", func() error { _, err := NewZipf(r, 10, math.NaN()); return err }},
 		{"zipf nil rng", func() error { _, err := NewZipf(nil, 10, 1); return err }},
+		{"zipf n over int32", func() error { n := math.MaxInt32; n++; _, err := NewZipf(r, n, 1); return err }},
 		{"exp zero n", func() error { _, err := NewExponential(r, 0, 1); return err }},
 		{"exp zero lambda", func() error { _, err := NewExponential(r, 10, 0); return err }},
 		{"exp nil rng", func() error { _, err := NewExponential(nil, 10, 1); return err }},

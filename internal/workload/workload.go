@@ -26,9 +26,10 @@ const PageBytes = 2048
 
 // mustZipf and mustExp wrap the sim sampler constructors for the
 // catalog builders: every parameter reaching them has been validated by
-// New (positive page counts) or is a catalog constant (positive alpha /
-// lambda), so a constructor error here is an internal invariant
-// violation, not a configuration problem.
+// New (positive page counts, at most 2.6M pages for the largest
+// catalog footprint, well inside NewZipf's math.MaxInt32 limit) or is
+// a catalog constant (positive alpha / lambda), so a constructor error
+// here is an internal invariant violation, not a configuration problem.
 func mustZipf(rng *sim.RNG, n int, alpha float64) *sim.Zipf {
 	z, err := sim.NewZipf(rng, n, alpha)
 	if err != nil {
